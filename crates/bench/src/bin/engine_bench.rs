@@ -7,22 +7,19 @@
 //! bookkeeping must not regress.
 //!
 //! ```text
-//! engine-bench [--reps N] [--out FILE] [--full-scale] [--shards N]
+//! engine-bench [--reps N] [--out FILE] [--full-scale]
 //!              [--engine full-scan|active-set|event] [--perf]
 //! ```
 //!
 //! Writes a JSON report (default `BENCH_engine.json` in the current
 //! directory): per workload, the minimum-of-`reps` wall-clock for each
 //! mode, the active-set-vs-full-scan and event-vs-active-set speedups,
-//! a fourth *sharded* column (the active-set core split across
-//! `--shards` slab threads, default 4 — byte-identical results, see
-//! `SimConfig::shards`), and the (identical) simulated cycle counts.
+//! and the (identical) simulated cycle counts.
 //! `--full-scale` adds the paper's full 20,480-node machine (32x32x20,
 //! Table 2) and a dense 4,096-node machine (8x32x16) as final rows,
 //! timed once per mode regardless of `--reps`. `--engine` narrows the
 //! run to a single mode (a profiling aid: the JSON then carries one
-//! seconds column and no speedups, timed at `--shards`); an unknown
-//! mode or a zero shard count exits with status 2.
+//! seconds column and no speedups); an unknown mode exits with status 2.
 //!
 //! `--perf` enables `SimConfig::perf` host profiling inside every timed
 //! run. Results stay byte-identical (the cycle assertions still hold);
@@ -38,12 +35,8 @@ use bgl_sim::{
     Engine, EngineMode, FlowSpec, NodeProgram, PerfConfig, ScriptedProgram, SendSpec, SimConfig,
 };
 use bgl_torus::{Coord, Partition};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// The sequential baseline: one shard.
-const ONE: NonZeroUsize = NonZeroUsize::MIN;
 
 /// Whether `--perf` was passed: every timed run then collects a host
 /// profile (the overhead-measurement mode; results stay byte-identical).
@@ -66,7 +59,6 @@ struct Outcome {
     full_scan_secs: f64,
     active_set_secs: f64,
     event_secs: f64,
-    sharded_secs: f64,
 }
 
 impl Outcome {
@@ -78,11 +70,6 @@ impl Outcome {
     /// Event-driven win over the already-optimized active-set core.
     fn event_speedup(&self) -> f64 {
         self.active_set_secs / self.event_secs
-    }
-
-    /// Slab-sharding win over the single-thread active-set core.
-    fn shard_speedup(&self) -> f64 {
-        self.active_set_secs / self.sharded_secs
     }
 }
 
@@ -112,13 +99,11 @@ fn compare(
     name: &'static str,
     description: &'static str,
     reps: u32,
-    shards: NonZeroUsize,
-    run: impl Fn(EngineMode, NonZeroUsize) -> u64,
+    run: impl Fn(EngineMode) -> u64,
 ) -> Outcome {
-    let (full_scan_secs, full_cycles) = time_runs(reps, || run(EngineMode::FullScan, ONE));
-    let (active_set_secs, active_cycles) = time_runs(reps, || run(EngineMode::ActiveSet, ONE));
-    let (event_secs, event_cycles) = time_runs(reps, || run(EngineMode::EventDriven, ONE));
-    let (sharded_secs, sharded_cycles) = time_runs(reps, || run(EngineMode::ActiveSet, shards));
+    let (full_scan_secs, full_cycles) = time_runs(reps, || run(EngineMode::FullScan));
+    let (active_set_secs, active_cycles) = time_runs(reps, || run(EngineMode::ActiveSet));
+    let (event_secs, event_cycles) = time_runs(reps, || run(EngineMode::EventDriven));
     assert_eq!(
         active_cycles, full_cycles,
         "{name}: active-set disagrees with full-scan on cycles"
@@ -127,17 +112,11 @@ fn compare(
         event_cycles, full_cycles,
         "{name}: event-driven disagrees with full-scan on cycles"
     );
-    assert_eq!(
-        sharded_cycles, full_cycles,
-        "{name}: sharded active-set disagrees with full-scan on cycles"
-    );
     eprintln!(
         "  {name}: full-scan {full_scan_secs:.3}s  active-set {active_set_secs:.3}s  \
-         event {event_secs:.3}s  shards={shards} {sharded_secs:.3}s  \
-         (active {:.2}x, event {:.2}x, shard {:.2}x, {full_cycles} cycles)",
+         event {event_secs:.3}s  (active {:.2}x, event {:.2}x, {full_cycles} cycles)",
         full_scan_secs / active_set_secs,
         active_set_secs / event_secs,
-        active_set_secs / sharded_secs
     );
     Outcome {
         name,
@@ -146,7 +125,6 @@ fn compare(
         full_scan_secs,
         active_set_secs,
         event_secs,
-        sharded_secs,
     }
 }
 
@@ -155,12 +133,10 @@ fn aa_cycles(
     strategy: &StrategyKind,
     workload: &AaWorkload,
     engine: EngineMode,
-    shards: NonZeroUsize,
 ) -> u64 {
     let part: Partition = shape.parse().unwrap();
     let mut cfg = SimConfig::new(part);
     cfg.engine = engine;
-    cfg.shards = shards;
     cfg.perf = perf_knob();
     run_aa(part, workload, strategy, &MachineParams::bgl(), cfg)
         .expect("run completes")
@@ -172,12 +148,11 @@ fn aa_cycles(
 /// active), with the injection window throttled to 1/32 chunk per cycle
 /// so even the busy nodes spend most cycles waiting — the regime the
 /// event-driven core skips outright.
-fn stream_cycles(engine: EngineMode, shards: NonZeroUsize) -> u64 {
+fn stream_cycles(engine: EngineMode) -> u64 {
     let part: Partition = "16x8x8".parse().unwrap();
     let p = part.num_nodes();
     let mut cfg = SimConfig::new(part);
     cfg.engine = engine;
-    cfg.shards = shards;
     cfg.perf = perf_knob();
     cfg.flow = FlowSpec::Rate {
         chunks_per_cycle: 1.0 / 32.0,
@@ -203,12 +178,11 @@ fn stream_cycles(engine: EngineMode, shards: NonZeroUsize) -> u64 {
 /// subcommunicator (the paper's smallest Table 4 partition) embedded in
 /// an otherwise idle 2048-node machine, repeated 200 times back-to-back
 /// the way latency benchmarks measure — long run, 8 active nodes.
-fn subcomm_aa_cycles(engine: EngineMode, shards: NonZeroUsize) -> u64 {
+fn subcomm_aa_cycles(engine: EngineMode) -> u64 {
     let part: Partition = "16x16x8".parse().unwrap();
     let p = part.num_nodes();
     let mut cfg = SimConfig::new(part);
     cfg.engine = engine;
-    cfg.shards = shards;
     cfg.perf = perf_knob();
     let comm: Vec<u32> = (0..8u16)
         .map(|x| part.rank_of(Coord::new(x, 0, 0)))
@@ -242,7 +216,7 @@ type Workload = (
     &'static str,
     &'static str,
     u32,
-    Box<dyn Fn(EngineMode, NonZeroUsize) -> u64>,
+    Box<dyn Fn(EngineMode) -> u64>,
 );
 
 fn main() {
@@ -251,7 +225,6 @@ fn main() {
     let mut out = "BENCH_engine.json".to_string();
     let mut full_scale = false;
     let mut only: Option<EngineMode> = None;
-    let mut shards = NonZeroUsize::new(4).unwrap();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -272,24 +245,11 @@ fn main() {
                 let v = it.next().unwrap_or_default();
                 only = Some(v.parse().unwrap_or_else(|e: String| fail(&e)));
             }
-            "--shards" => {
-                let v = it.next().unwrap_or_default();
-                shards = v
-                    .parse::<usize>()
-                    .ok()
-                    .and_then(NonZeroUsize::new)
-                    .unwrap_or_else(|| {
-                        fail(&format!("--shards needs a positive integer, got {v:?}"))
-                    });
-            }
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
 
-    eprintln!(
-        "engine-bench: {reps} reps per mode, sharded column at {shards} shards, \
-         min wall-clock reported"
-    );
+    eprintln!("engine-bench: {reps} reps per mode, min wall-clock reported");
     let ar = StrategyKind::ar();
     let tps = StrategyKind::tps();
     let mut workloads: Vec<Workload> = vec![
@@ -313,16 +273,14 @@ fn main() {
             reps,
             Box::new({
                 let ar = ar.clone();
-                move |e, s| aa_cycles("8x8x8", &ar, &AaWorkload::full(1), e, s)
+                move |e| aa_cycles("8x8x8", &ar, &AaWorkload::full(1), e)
             }),
         ),
         (
             "aa_sampled_8x8x8_m912_tps",
             "sampled Table 3 shape: m=912 on 8x8x8 at 1/16 coverage, two-phase schedule",
             reps,
-            Box::new(move |e, s| {
-                aa_cycles("8x8x8", &tps, &AaWorkload::sampled(912, 1.0 / 16.0), e, s)
-            }),
+            Box::new(move |e| aa_cycles("8x8x8", &tps, &AaWorkload::sampled(912, 1.0 / 16.0), e)),
         ),
         (
             "aa_dense_8x8x8_m912_ar",
@@ -330,7 +288,7 @@ fn main() {
             reps,
             Box::new({
                 let ar = ar.clone();
-                move |e, s| aa_cycles("8x8x8", &ar, &AaWorkload::full(912), e, s)
+                move |e| aa_cycles("8x8x8", &ar, &AaWorkload::full(912), e)
             }),
         ),
         (
@@ -340,7 +298,7 @@ fn main() {
             reps,
             Box::new({
                 let ar = ar.clone();
-                move |e, s| aa_cycles("4x4x4x4", &ar, &AaWorkload::full(64), e, s)
+                move |e| aa_cycles("4x4x4x4", &ar, &AaWorkload::full(64), e)
             }),
         ),
     ];
@@ -355,34 +313,20 @@ fn main() {
             1,
             Box::new({
                 let ar = ar.clone();
-                move |e, s| {
-                    aa_cycles(
-                        "32x32x20",
-                        &ar,
-                        &AaWorkload::sampled(1, 16.0 / 20_479.0),
-                        e,
-                        s,
-                    )
-                }
+                move |e| aa_cycles("32x32x20", &ar, &AaWorkload::sampled(1, 16.0 / 20_479.0), e)
             }),
         ));
-        // The shard-scaling headline: a dense 4,096-node run where every
-        // node stays active every cycle, so the active sets and event
-        // skips buy nothing and slab sharding is the only lever left.
-        // 32 m=912 destinations per node keeps one rep in budget.
+        // A dense 4,096-node run where every node stays active every
+        // cycle, so the active sets and event skips buy nothing: the
+        // per-node-cycle cost row. 32 m=912 destinations per node keeps
+        // one rep in budget.
         workloads.push((
             "aa_dense_8x32x16_m912_ar",
             "dense 4,096-node machine (8x32x16): sampled m=912 adaptive all-to-all, \
-             32 destinations per node, every node active — the shard-scaling row",
+             32 destinations per node, every node active",
             1,
-            Box::new(move |e, s| {
-                aa_cycles(
-                    "8x32x16",
-                    &ar,
-                    &AaWorkload::sampled(912, 32.0 / 4_095.0),
-                    e,
-                    s,
-                )
+            Box::new(move |e| {
+                aa_cycles("8x32x16", &ar, &AaWorkload::sampled(912, 32.0 / 4_095.0), e)
             }),
         ));
     }
@@ -395,14 +339,13 @@ fn main() {
             body.push_str("  \"tool\": \"engine-bench\",\n");
             body.push_str(&format!("  \"engine\": \"{mode}\",\n"));
             body.push_str(&format!("  \"reps_per_mode\": {reps},\n"));
-            body.push_str(&format!("  \"shards\": {shards},\n"));
             body.push_str(&format!("  \"perf\": {},\n", PERF.load(Ordering::Relaxed)));
             body.push_str(&format!("  {},\n", host_meta_json()));
             body.push_str("  \"metric\": \"min wall-clock seconds per full simulation\",\n");
             body.push_str("  \"workloads\": [\n");
             let last = workloads.len();
             for (i, (name, description, reps, run)) in workloads.iter().enumerate() {
-                let (secs, cycles) = time_runs(*reps, || run(mode, shards));
+                let (secs, cycles) = time_runs(*reps, || run(mode));
                 eprintln!("  {name}: {mode} {secs:.3}s ({cycles} cycles)");
                 body.push_str(&format!(
                     "    {{\"name\": \"{}\", \"description\": \"{}\", \"cycles\": {}, \
@@ -420,18 +363,14 @@ fn main() {
         None => {
             let results: Vec<Outcome> = workloads
                 .iter()
-                .map(|(name, description, reps, run)| {
-                    compare(name, description, *reps, shards, run)
-                })
+                .map(|(name, description, reps, run)| compare(name, description, *reps, run))
                 .collect();
             let mut body = String::from("{\n");
             body.push_str(
-                "  \"benchmark\": \"engine modes: full-scan vs active-set vs event-driven \
-                 vs sharded active-set\",\n",
+                "  \"benchmark\": \"engine modes: full-scan vs active-set vs event-driven\",\n",
             );
             body.push_str("  \"tool\": \"engine-bench\",\n");
             body.push_str(&format!("  \"reps_per_mode\": {reps},\n"));
-            body.push_str(&format!("  \"shards\": {shards},\n"));
             body.push_str(&format!("  \"perf\": {},\n", PERF.load(Ordering::Relaxed)));
             body.push_str(&format!("  {},\n", host_meta_json()));
             body.push_str("  \"metric\": \"min wall-clock seconds per full simulation\",\n");
@@ -440,18 +379,15 @@ fn main() {
                 body.push_str(&format!(
                     "    {{\"name\": \"{}\", \"description\": \"{}\", \"cycles\": {}, \
                      \"full_scan_secs\": {:.4}, \"active_set_secs\": {:.4}, \"event_secs\": {:.4}, \
-                     \"sharded_secs\": {:.4}, \"active_speedup\": {:.3}, \
-                     \"event_speedup\": {:.3}, \"shard_speedup\": {:.3}}}{}\n",
+                     \"active_speedup\": {:.3}, \"event_speedup\": {:.3}}}{}\n",
                     json_escape(r.name),
                     json_escape(r.description),
                     r.cycles,
                     r.full_scan_secs,
                     r.active_set_secs,
                     r.event_secs,
-                    r.sharded_secs,
                     r.active_speedup(),
                     r.event_speedup(),
-                    r.shard_speedup(),
                     if i + 1 == results.len() { "" } else { "," },
                 ));
             }

@@ -25,7 +25,7 @@ pub fn git_commit() -> String {
 }
 
 /// The `"host": {...}` JSON object stamped into every bench report:
-/// logical CPU count (the sharded columns are meaningless without it),
+/// logical CPU count (wall-clock figures only compare on like hosts),
 /// git commit, and the exact invocation. Rendered as one line, no
 /// trailing comma or newline.
 pub fn host_meta_json() -> String {

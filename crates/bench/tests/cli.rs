@@ -31,6 +31,7 @@ fn engine_bench_rejects_malformed_input() {
     assert_clean_failure(&["--out"], "needs a file path");
     assert_clean_failure(&["--out", "--reps"], "needs a file path");
     assert_clean_failure(&["--frobnicate"], "unknown argument");
+    assert_clean_failure(&["--shards", "4"], "unknown argument");
     assert_clean_failure(&["--engine", "warp"], "unknown engine");
     assert_clean_failure(&["--engine", ""], "unknown engine");
 }

@@ -4,12 +4,12 @@
 //! bglsim sweep --shape 8x8x8 --strategies ar,dr,tps --sizes 64,240,912 [--coverage 0.25] [--jobs N] [--csv|--json]
 //!              [--pacer none|rate:F|credit:W,E] [--credit W,E]
 //!              [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]
-//!              [--engine full-scan|active-set|event] [--shards N]
+//!              [--engine full-scan|active-set|event]
 //!              [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]
 //! bglsim fit   --shape 8x8x8
-//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--engine MODE] [--shards N] [--fault SPEC]
-//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE] [--shards N]
-//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--shards N] [--json|--csv] [--out FILE]
+//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--engine MODE] [--fault SPEC]
+//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE]
+//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--json|--csv] [--out FILE]
 //! ```
 //!
 //! `--engine` selects the simulator scheduling core
@@ -18,11 +18,10 @@
 //! mode produces byte-identical results; the flag only changes
 //! wall-clock. An unknown mode exits with status 2.
 //!
-//! `--shards N` splits each simulated torus into `N` rank slabs stepped
-//! on `N` threads (`SimConfig::shards`). Orthogonal to `--jobs`, which
-//! parallelizes *across* sweep points: use `--shards` when one big run
-//! dominates, `--jobs` when many small runs do. Results are
-//! byte-identical for every `N`; `--shards 0` exits with status 2.
+//! `--coverage F` (on `sweep` and `profile`) sends each node's message
+//! to a uniform fraction `F` of the other nodes; it must lie in `(0, 1]`.
+//! The sweep's `ms` column extrapolates the sampled run to a full
+//! exchange by the fraction of destinations actually sent to.
 //!
 //! Pacing: `--pacer` overrides every swept strategy's injection pacing —
 //! `none` strips it, `rate:F` throttles injection to `F×` the bisection-
@@ -59,7 +58,7 @@
 //! profile rides `--json` output per report and a runner timing summary
 //! (points executed, execute seconds, queue wait, cache hits) goes to
 //! stderr. `profile` runs a single point with profiling on and renders
-//! the human-readable report (per-phase/per-shard wall-clock breakdown,
+//! the human-readable report (per-phase wall-clock breakdown,
 //! event-engine skip histogram); `--json` emits the full report, `--csv`
 //! the profile as RFC-4180 `metric,value` rows. `--progress` (also on
 //! `sweep` and `validate`) prints a rate-limited stderr heartbeat for
@@ -145,18 +144,17 @@ fn parse_engine(flags: &HashMap<String, String>) -> EngineMode {
     })
 }
 
-/// Resolve `--shards N` (default 1): intra-run torus sharding, run on N
-/// threads when N > 1. Results are byte-identical for every N; zero or a
-/// non-number exits with status 2.
-fn parse_shards(flags: &HashMap<String, String>) -> std::num::NonZeroUsize {
-    flags
-        .get("shards")
-        .map_or(std::num::NonZeroUsize::MIN, |s| {
-            s.parse::<usize>()
-                .ok()
-                .and_then(std::num::NonZeroUsize::new)
-                .unwrap_or_else(|| fail(&format!("--shards needs a positive integer, got {s:?}")))
-        })
+/// Resolve `--coverage F` (default 1): the fraction of destinations
+/// each node sends to. Outside `(0, 1]` exits with status 2.
+fn parse_coverage(flags: &HashMap<String, String>) -> f64 {
+    let coverage: f64 = flags.get("coverage").map_or(1.0, |s| {
+        s.parse()
+            .unwrap_or_else(|_| fail(&format!("--coverage needs a fraction, got {s:?}")))
+    });
+    if !(coverage > 0.0 && coverage <= 1.0) {
+        fail(&format!("--coverage must be within (0, 1], got {coverage}"));
+    }
+    coverage
 }
 
 /// Parse a fault direction token: `x+ x- y+ y- z+ z-`.
@@ -406,13 +404,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
                 .unwrap_or_else(|_| fail(&format!("--sizes needs numeric bytes, got {s:?}")))
         })
         .collect();
-    let coverage: f64 = flags.get("coverage").map_or(1.0, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("--coverage needs a fraction, got {s:?}")))
-    });
-    if !(0.0..=1.0).contains(&coverage) {
-        fail(&format!("--coverage must be within 0..=1, got {coverage}"));
-    }
+    let coverage = parse_coverage(flags);
     let csv = flags.contains_key("csv");
     let json = flags.contains_key("json");
     let report = flags.contains_key("report");
@@ -430,7 +422,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     let fault = parse_fault(flags, &part);
     let mut runner = Runner::new(Scale::Paper)
         .with_engine(parse_engine(flags))
-        .with_shards(parse_shards(flags))
         .with_perf(flags.contains_key("perf"))
         .with_progress(flags.contains_key("progress"));
     if let Some(n) = flags.get("jobs") {
@@ -486,7 +477,9 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
         let m = point.key.m;
         match runner.report(point) {
             Ok(r) => {
-                let ms = r.time_secs * 1e3 / r.workload.coverage;
+                // A sampled run sends to a whole number of destinations:
+                // scale by the fraction it really covered.
+                let ms = r.time_secs * 1e3 / r.workload.effective_fraction(part.num_nodes());
                 if csv {
                     println!(
                         "{shape},{},{m},{coverage},{},{ms:.4},{:.2}",
@@ -618,7 +611,6 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
     };
     let mut cfg = SimConfig::new(part);
     cfg.engine = parse_engine(flags);
-    cfg.shards = parse_shards(flags);
     cfg.fault = parse_fault(flags, &part);
     match run_pattern(part, &pattern, m, &params, cfg, 7) {
         Ok(rep) => {
@@ -638,7 +630,6 @@ fn cmd_validate(flags: &HashMap<String, String>) {
     });
     let mut runner = Runner::new(tier.scale())
         .with_engine(parse_engine(flags))
-        .with_shards(parse_shards(flags))
         .with_perf(flags.contains_key("perf"))
         .with_progress(flags.contains_key("progress"));
     if let Some(n) = flags.get("jobs") {
@@ -676,19 +667,12 @@ fn cmd_profile(flags: &HashMap<String, String>) {
         s.parse()
             .unwrap_or_else(|_| fail(&format!("--m needs numeric bytes, got {s:?}")))
     });
-    let coverage: f64 = flags.get("coverage").map_or(1.0, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("--coverage needs a fraction, got {s:?}")))
-    });
-    if !(0.0..=1.0).contains(&coverage) {
-        fail(&format!("--coverage must be within 0..=1, got {coverage}"));
-    }
+    let coverage = parse_coverage(flags);
     if flags.contains_key("json") && flags.contains_key("csv") {
         fail("--json and --csv conflict; pass at most one");
     }
     let runner = Runner::new(Scale::Paper)
         .with_engine(parse_engine(flags))
-        .with_shards(parse_shards(flags))
         .with_perf(true)
         .with_progress(flags.contains_key("progress"));
     let point = RunPoint::new(part, strategy, m, coverage);
@@ -731,7 +715,6 @@ fn main() {
                 "trace-interval",
                 "trace-out",
                 "engine",
-                "shards",
                 "fault",
             ],
             &["csv", "json", "report", "perf", "progress"],
@@ -739,19 +722,17 @@ fn main() {
         "fit" => cmd_fit(&parse_flags(rest, &["shape"], &[])),
         "pattern" => cmd_pattern(&parse_flags(
             rest,
-            &["shape", "pattern", "m", "engine", "shards", "fault"],
+            &["shape", "pattern", "m", "engine", "fault"],
             &[],
         )),
         "validate" => cmd_validate(&parse_flags(
             rest,
-            &["tier", "jobs", "out", "engine", "shards"],
+            &["tier", "jobs", "out", "engine"],
             &["bless", "perf", "progress"],
         )),
         "profile" => cmd_profile(&parse_flags(
             rest,
-            &[
-                "shape", "strategy", "m", "coverage", "engine", "shards", "out",
-            ],
+            &["shape", "strategy", "m", "coverage", "engine", "out"],
             &["json", "csv", "progress"],
         )),
         _ => {
@@ -761,12 +742,12 @@ fn main() {
             eprintln!(
                 "          [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]"
             );
-            eprintln!("          [--engine full-scan|active-set|event] [--shards N] [--perf] [--progress]");
+            eprintln!("          [--engine full-scan|active-set|event] [--perf] [--progress]");
             eprintln!("          [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]");
             eprintln!("  fit     --shape 8x8x8");
-            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--engine MODE] [--shards N] [--fault SPEC]");
-            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE] [--shards N] [--perf] [--progress]");
-            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--shards N] [--json|--csv] [--out FILE]");
+            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--engine MODE] [--fault SPEC]");
+            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE] [--perf] [--progress]");
+            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--json|--csv] [--out FILE]");
             std::process::exit(2);
         }
     }

@@ -2,15 +2,13 @@
 //! single (shape, strategies, m, coverage) point set.
 //!
 //! ```text
-//! calib <shape> <AR|DR|TPS|VM|THR|MPI>[,<...>] <m_bytes> <coverage> [--jobs N] [--shards N]
+//! calib <shape> <AR|DR|TPS|VM|THR|MPI>[,<...>] <m_bytes> <coverage> [--jobs N]
 //!       [--json] [--engine full-scan|active-set|event] [--perf] [--progress]
 //! ```
 //!
 //! Several strategies (comma-separated) run concurrently across
 //! `--jobs` worker threads; results are identical for any thread
-//! count. `--shards` splits each individual simulation across N
-//! threads (orthogonal to `--jobs`) without changing any output.
-//! `--json` emits the full [`AaReport`](bgl_core::AaReport)
+//! count. The coverage must lie in `(0, 1]`. `--json` emits the full [`AaReport`](bgl_core::AaReport)
 //! per strategy. `--perf` collects host-side profiles (results stay
 //! byte-identical; the profile rides `--json` output) and prints a
 //! runner timing summary to stderr; `--progress` adds a rate-limited
@@ -35,7 +33,6 @@ fn main() {
     let mut json = false;
     let mut jobs: Option<usize> = None;
     let mut engine = EngineMode::default();
-    let mut shards = std::num::NonZeroUsize::MIN;
     let mut perf = false;
     let mut progress = false;
     let mut it = args.into_iter();
@@ -47,16 +44,6 @@ fn main() {
             "--engine" => {
                 let v = it.next().unwrap_or_default();
                 engine = v.parse().unwrap_or_else(|e: String| fail(&e));
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_default();
-                shards = v
-                    .parse::<usize>()
-                    .ok()
-                    .and_then(std::num::NonZeroUsize::new)
-                    .unwrap_or_else(|| {
-                        fail(&format!("--shards needs a positive integer, got {v:?}"))
-                    });
             }
             "--jobs" => {
                 let v = it.next().unwrap_or_default();
@@ -82,8 +69,8 @@ fn main() {
         s.parse()
             .unwrap_or_else(|_| fail(&format!("coverage needs a fraction, got {s:?}")))
     });
-    if !(0.0..=1.0).contains(&cov) {
-        fail(&format!("coverage must be within 0..=1, got {cov}"));
+    if !(cov > 0.0 && cov <= 1.0) {
+        fail(&format!("coverage must be within (0, 1], got {cov}"));
     }
     let part: Partition = shape
         .parse()
@@ -109,7 +96,6 @@ fn main() {
     }
     let mut runner = Runner::new(Scale::Paper)
         .with_engine(engine)
-        .with_shards(shards)
         .with_perf(perf)
         .with_progress(progress);
     if let Some(n) = jobs {

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! repro list
-//! repro <id>... [--scale quick|paper] [--jobs N] [--shards N] [--json] [--out DIR]
+//! repro <id>... [--scale quick|paper] [--jobs N] [--json] [--out DIR]
 //!               [--engine full-scan|active-set|event] [--perf] [--progress]
-//! repro all     [--scale quick|paper] [--jobs N] [--shards N] [--json] [--out DIR]
+//! repro all     [--scale quick|paper] [--jobs N] [--json] [--out DIR]
 //!               [--engine full-scan|active-set|event] [--perf] [--progress]
 //! ```
 //!
@@ -15,10 +15,7 @@
 //! each report is written as `<id>.txt` and `<id>.csv` plus a combined
 //! `results.json`. `--engine` picks the simulator scheduling core
 //! ([`EngineMode`](bgl_sim::EngineMode)); every mode produces identical
-//! results, so the flag only changes wall-clock. `--shards` splits each
-//! individual simulation across N threads (orthogonal to `--jobs`, which
-//! parallelizes *across* simulations); results are byte-identical for
-//! any shard count. `--perf` collects host-side profiles (results stay
+//! results, so the flag only changes wall-clock. `--perf` collects host-side profiles (results stay
 //! byte-identical) and prints a runner timing summary to stderr;
 //! `--progress` adds a rate-limited stderr heartbeat to each run.
 
@@ -35,7 +32,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "help" {
         eprintln!(
-            "usage: repro <id>...|all|list [--scale quick|paper] [--jobs N] [--shards N] [--json] \
+            "usage: repro <id>...|all|list [--scale quick|paper] [--jobs N] [--json] \
              [--out DIR] [--engine full-scan|active-set|event] [--perf] [--progress]"
         );
         eprintln!("ids: {}", experiments::ALL_IDS.join(", "));
@@ -47,7 +44,6 @@ fn main() {
     let mut json = false;
     let mut out: Option<PathBuf> = None;
     let mut engine = EngineMode::default();
-    let mut shards = std::num::NonZeroUsize::MIN;
     let mut perf = false;
     let mut progress = false;
     let mut it = args.into_iter();
@@ -56,16 +52,6 @@ fn main() {
             "--engine" => {
                 let v = it.next().unwrap_or_default();
                 engine = v.parse().unwrap_or_else(|e: String| fail(&e));
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_default();
-                shards = v
-                    .parse::<usize>()
-                    .ok()
-                    .and_then(std::num::NonZeroUsize::new)
-                    .unwrap_or_else(|| {
-                        fail(&format!("--shards needs a positive integer, got {v:?}"))
-                    });
             }
             "--scale" => {
                 let v = it.next().unwrap_or_default();
@@ -104,7 +90,6 @@ fn main() {
     }
     let mut runner = Runner::new(scale)
         .with_engine(engine)
-        .with_shards(shards)
         .with_perf(perf)
         .with_progress(progress);
     if let Some(n) = jobs {

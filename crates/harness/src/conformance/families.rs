@@ -1,6 +1,6 @@
 //! The five DESIGN.md §7 validation-target families, plus the
-//! engine-mode/oracle equivalence family, the shard-count equivalence
-//! family, and the fault-injection family, as tier-parameterized checks.
+//! engine-mode/oracle equivalence family, the fault-injection family and
+//! the n-dimensional family, as tier-parameterized checks.
 //!
 //! All thresholds assert *shape* — orderings, bands, crossover
 //! directions — not absolute paper numbers: the quick tier is calibrated
@@ -26,10 +26,6 @@ pub const INVARIANTS: &str = "invariants";
 pub const INVARIANTS_FULL_SCAN: &str = "invariants-fullscan";
 /// Variant label for the event-driven-engine twin of a grid point.
 pub const INVARIANTS_EVENT: &str = "invariants-event";
-/// Variant label for the slab-sharded twin of a grid point
-/// (`SimConfig::shards` = 4, oracle still on — the oracle additionally
-/// checks per-cell credit conservation against the sharded structure).
-pub const INVARIANTS_SHARDED: &str = "invariants-shards4";
 
 fn ar() -> StrategyKind {
     StrategyKind::ar()
@@ -100,20 +96,6 @@ pub fn checked_event(runner: &Runner, shape: &str, strategy: &StrategyKind, m: u
         })
 }
 
-/// The same point with the torus split into four rank slabs
-/// (`SimConfig::shards`), oracle still on. The oracle forces the sharded
-/// structure onto one thread, so this certifies the staged-arrival drain
-/// order, the packet-id fix-up, and the deferred credit releases — not
-/// thread scheduling.
-pub fn checked_sharded(runner: &Runner, shape: &str, strategy: &StrategyKind, m: u64) -> RunPoint {
-    runner
-        .point(shape, strategy, m)
-        .variant(INVARIANTS_SHARDED, |c| {
-            c.check_invariants = true;
-            c.shards = std::num::NonZeroUsize::new(4).expect("nonzero");
-        })
-}
-
 /// The F8 fault grid: one small shape at full coverage, identical at
 /// both tiers (like the golden grid — fault semantics do not scale).
 const F8_SHAPE: &str = "4x4x4";
@@ -180,7 +162,7 @@ fn f8_midrun_plan() -> FaultPlan {
     }
 }
 
-/// Engine-mode and shard twins of the dead-link AR point (oracle on in
+/// Engine-mode twins of the dead-link AR point (oracle on in
 /// every one). The baseline runs the default active-set engine.
 fn f8_twins() -> Vec<(&'static str, RunPoint)> {
     let part: Partition = F8_SHAPE.parse().expect("valid shape");
@@ -203,15 +185,6 @@ fn f8_twins() -> Vec<(&'static str, RunPoint)> {
                 })
                 .with_fault(f8_dead_link()),
         ),
-        (
-            "shards4",
-            RunPoint::new(part, ar(), F8_M, 1.0)
-                .variant(INVARIANTS_SHARDED, |c| {
-                    c.check_invariants = true;
-                    c.shards = std::num::NonZeroUsize::new(4).expect("nonzero");
-                })
-                .with_fault(f8_dead_link()),
-        ),
     ]
 }
 
@@ -221,35 +194,29 @@ const F9_SHAPES: [&str; 2] = ["8x8", "4x4x4x4x2"];
 /// Message size of every F9 point.
 const F9_M: u64 = 64;
 
-/// The engine-mode × shard-count combinations every F9 (shape, strategy)
-/// pair runs under, each with a distinct cache-key variant label and the
-/// invariant oracle on. The full-scan single-shard combination is the
-/// reference the other five must match byte-for-byte.
-fn f9_variants() -> [(&'static str, EngineMode, usize); 6] {
+/// The engine modes every F9 (shape, strategy) pair runs under, each
+/// with a distinct cache-key variant label and the invariant oracle on.
+/// The full-scan run is the reference the other two must match
+/// byte-for-byte.
+fn f9_variants() -> [(&'static str, EngineMode); 3] {
     [
-        (INVARIANTS_FULL_SCAN, EngineMode::FullScan, 1),
-        (INVARIANTS, EngineMode::ActiveSet, 1),
-        (INVARIANTS_EVENT, EngineMode::EventDriven, 1),
-        ("invariants-fullscan-shards4", EngineMode::FullScan, 4),
-        ("invariants-activeset-shards4", EngineMode::ActiveSet, 4),
-        ("invariants-event-shards4", EngineMode::EventDriven, 4),
+        (INVARIANTS_FULL_SCAN, EngineMode::FullScan),
+        (INVARIANTS, EngineMode::ActiveSet),
+        (INVARIANTS_EVENT, EngineMode::EventDriven),
     ]
 }
 
-/// One F9 point: full coverage, oracle on, pinned engine mode and shard
-/// count.
+/// One F9 point: full coverage, oracle on, pinned engine mode.
 fn f9_point(
     shape: &str,
     strategy: &StrategyKind,
     label: &'static str,
     engine: EngineMode,
-    shards: usize,
 ) -> RunPoint {
     let part: Partition = shape.parse().expect("valid shape");
     RunPoint::new(part, strategy.clone(), F9_M, 1.0).variant(label, move |c| {
         c.check_invariants = true;
         c.engine = engine;
-        c.shards = std::num::NonZeroUsize::new(shards).expect("nonzero");
     })
 }
 
@@ -258,8 +225,8 @@ fn f9_points() -> Vec<RunPoint> {
     let mut pts = Vec::new();
     for shape in F9_SHAPES {
         for s in [ar(), dr()] {
-            for (label, engine, shards) in f9_variants() {
-                pts.push(f9_point(shape, &s, label, engine, shards));
+            for (label, engine) in f9_variants() {
+                pts.push(f9_point(shape, &s, label, engine));
             }
         }
     }
@@ -417,20 +384,18 @@ pub fn points(runner: &Runner, tier: Tier) -> Vec<RunPoint> {
         pts.push(checked(runner, shape, &tps(), g.vm_small));
     }
     // F6: active-set, full-scan, and event-driven twins of the
-    // equivalence slice. F7: the slab-sharded twin of the same slice.
+    // equivalence slice.
     for (shape, strategy, m) in equivalence_grid(runner) {
         pts.push(checked(runner, shape, &strategy, m));
         pts.push(checked_full_scan(runner, shape, &strategy, m));
         pts.push(checked_event(runner, shape, &strategy, m));
-        pts.push(checked_sharded(runner, shape, &strategy, m));
     }
     // F8: fault injection — healthy/noop twins, degraded-mode AR vs DR
-    // on a dead link, a mid-run fail→recover window, and engine/shard
+    // on a dead link, a mid-run fail→recover window, and engine-mode
     // twins under the same fault plan.
     pts.extend(fault_points());
     // F9: the n-dimensional generalization — AR and DR on a 2-D torus
-    // and a 5-D mixed-extent shape, across every engine mode × shard
-    // count combination.
+    // and a 5-D mixed-extent shape, in every engine mode.
     pts.extend(f9_points());
     pts
 }
@@ -710,35 +675,6 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
         }
     }
 
-    // ---- F7: shard-count equivalence ----------------------------------
-    // Splitting the torus into rank slabs (`SimConfig::shards`) must be
-    // observationally invisible: the 4-shard oracle-checked twin of each
-    // equivalence point produces the exact NetStats of its unsharded
-    // oracle-checked twin.
-    let fam = "F7 shard-equivalence";
-    for (shape, strategy, m) in equivalence_grid(runner) {
-        let unsharded = runner.report(&checked(runner, shape, &strategy, m));
-        let sharded = runner.report(&checked_sharded(runner, shape, &strategy, m));
-        let (passed, measured) = match (&sharded, &unsharded) {
-            (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
-            (Ok(a), Ok(r)) => (
-                false,
-                format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-            ),
-            (a, r) => (
-                false,
-                format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-            ),
-        };
-        out.push(CheckResult::new(
-            fam,
-            format!("{} {} m={m} shards=4", shape, strategy.name()),
-            passed,
-            measured,
-            "sharded run == unsharded run under the oracle",
-        ));
-    }
-
     // ---- F8: fault injection ------------------------------------------
     // Degraded-mode routing, oracle on for every point: a fault plan is
     // part of the run's cache key, so none of these share a slot with
@@ -868,7 +804,7 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
             format!("{F8_SHAPE} AR dead-link twin {label}"),
             passed,
             measured,
-            "every engine mode and shard count == baseline under the fault",
+            "every engine mode == baseline under the fault",
         ));
     }
 
@@ -879,7 +815,7 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
     // golden fingerprint still reproduces — and (b) the generalized
     // machinery is genuinely n-dimensional: full oracle-checked AR and DR
     // exchanges on a 2-D torus and a 5-D mixed-extent shape, identical
-    // across every engine mode and shard count.
+    // across every engine mode.
     let fam = "F9 ndim-generalization";
     {
         let part: Partition = "4x4x1".parse().expect("valid shape");
@@ -913,7 +849,6 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
                 &s,
                 INVARIANTS_FULL_SCAN,
                 EngineMode::FullScan,
-                1,
             ));
             let (passed, measured) = match &reference {
                 Ok(r) if r.stats.payload_bytes_delivered == want_payload => {
@@ -935,11 +870,11 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
                 measured,
                 "complete all-to-all payload under the invariant oracle",
             ));
-            for (label, engine, shards) in f9_variants() {
-                if matches!(engine, EngineMode::FullScan) && shards == 1 {
+            for (label, engine) in f9_variants() {
+                if matches!(engine, EngineMode::FullScan) {
                     continue; // the reference itself
                 }
-                let twin = runner.report(&f9_point(shape, &s, label, engine, shards));
+                let twin = runner.report(&f9_point(shape, &s, label, engine));
                 let (passed, measured) = match (&twin, &reference) {
                     (Ok(a), Ok(r)) if a.stats == r.stats => {
                         (true, "identical NetStats".to_string())
@@ -958,7 +893,7 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
                     format!("{shape} {} {label}", s.name()),
                     passed,
                     measured,
-                    "engine mode × shard count == full-scan reference",
+                    "engine mode == full-scan reference",
                 ));
             }
         }

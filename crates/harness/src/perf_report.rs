@@ -2,8 +2,7 @@
 //!
 //! [`render_perf_report`] turns an [`AaReport`] that carries a
 //! [`PerfProfile`](bgl_sim::PerfProfile) into the `bglsim profile` text:
-//! a per-phase wall-clock breakdown, the per-shard busy/barrier-wait
-//! split with the load-imbalance ratio, and — for event-mode runs — the
+//! a per-phase wall-clock breakdown and — for event-mode runs — the
 //! wake-cause breakdown and the power-of-two skip-length histogram.
 //! Everything here is *host* time (seconds on the machine running the
 //! simulator); the simulated-cycle figures next to it exist precisely so
@@ -41,10 +40,8 @@ pub fn render_perf_report(report: &AaReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  stepped {} cycles ({} wide, {} inline), skipped {} cycles",
+        "  stepped {} cycles, skipped {} cycles",
         p.stepped_cycles,
-        p.wide_cycles,
-        p.inline_cycles,
         p.skipped_cycles(),
     );
     let _ = writeln!(
@@ -54,7 +51,6 @@ pub fn render_perf_report(report: &AaReport) -> String {
     );
     out.push('\n');
     render_phase_breakdown(&mut out, p);
-    render_shard_balance(&mut out, p);
     if let Some(ev) = &p.event {
         render_event_counters(&mut out, ev);
     }
@@ -67,14 +63,13 @@ fn bar(share: f64) -> String {
     "#".repeat(filled) + &"-".repeat(BAR_WIDTH - filled)
 }
 
-/// Per-phase host seconds summed over all shards, as shares of the
-/// phase-attributed busy total.
+/// Per-phase host seconds, as shares of the phase-attributed busy total.
 fn render_phase_breakdown(out: &mut String, p: &PerfProfile) {
     let totals = p.phase_totals();
     let busy = totals.total();
     let _ = writeln!(
         out,
-        "phase breakdown (host seconds, all shards; bar = share of busy time):"
+        "phase breakdown (host seconds; bar = share of busy time):"
     );
     for (label, secs) in totals.named() {
         let share = if busy > 0.0 { secs / busy } else { 0.0 };
@@ -90,41 +85,7 @@ fn render_phase_breakdown(out: &mut String, p: &PerfProfile) {
     } else {
         0.0
     };
-    let _ = writeln!(
-        out,
-        "  busy {busy:.4}s ({attributed:.1}% of wall-clock), barrier wait {:.4}s",
-        p.barrier_wait_secs(),
-    );
-}
-
-/// Per-shard busy/barrier table plus the imbalance ratio. Barrier-wait
-/// columns only accumulate on threaded (wide) cycles.
-fn render_shard_balance(out: &mut String, p: &PerfProfile) {
-    let _ = writeln!(
-        out,
-        "shard balance ({} shard{}):",
-        p.shards.len(),
-        if p.shards.len() == 1 { "" } else { "s" },
-    );
-    let _ = writeln!(
-        out,
-        "  {:>6}  {:>10}  {:>12}  {:>12}",
-        "shard", "busy s", "barrier A s", "barrier B s",
-    );
-    for (i, s) in p.shards.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {i:>6}  {:>10.4}  {:>12.4}  {:>12.4}",
-            s.busy_secs(),
-            s.barrier_a_wait_secs,
-            s.barrier_b_wait_secs,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  imbalance ratio (busiest / mean busy): {:.3}",
-        p.shard_imbalance(),
-    );
+    let _ = writeln!(out, "  busy {busy:.4}s ({attributed:.1}% of wall-clock)");
 }
 
 /// Event-engine section: jump totals, wake-cause breakdown and the
@@ -196,14 +157,14 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_phase_and_shard_sections() {
+    fn report_renders_phase_section() {
         let report = profiled_report(EngineMode::ActiveSet);
         assert!(report.perf.is_some(), "profile must be recorded");
         let text = render_perf_report(&report);
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
-        assert!(text.contains("imbalance ratio"), "{text}");
+        assert!(!text.contains("shard"), "{text}");
         assert!(
             !text.contains("event engine:"),
             "no event section outside event mode: {text}"

@@ -88,8 +88,8 @@ pub struct RunKey {
     /// `NetStats` are identical by construction, but only the former
     /// carries an `AaReport::trace`).
     pub trace_interval: u64,
-    /// Injected faults (empty = healthy run). Unlike engine mode or
-    /// shard count, a fault plan *changes the result*, so it is part of
+    /// Injected faults (empty = healthy run). Unlike the engine mode, a
+    /// fault plan *changes the result*, so it is part of
     /// the key: a faulty run and its healthy twin never share a cache
     /// slot.
     pub fault: FaultPlan,
@@ -283,15 +283,11 @@ pub struct Runner {
     /// Engine mode applied to every run before the point's own tweak
     /// (so a variant that pins a specific mode still wins).
     pub engine: EngineMode,
-    /// Intra-run torus shard count applied to every run (see
-    /// `SimConfig::shards`). Like [`engine`](Self::engine), results are
-    /// byte-identical across values, so it is not part of the cache key.
-    pub sim_shards: std::num::NonZeroUsize,
     jobs: usize,
     /// Host profiling: pass `SimConfig::perf` to every run (so reports
     /// carry `AaReport::perf`) and aggregate [`RunnerTiming`]. Results
-    /// are byte-identical on or off, so — like `engine` and `sim_shards`
-    /// — it is not part of the cache key.
+    /// are byte-identical on or off, so — like `engine` — it is not part
+    /// of the cache key.
     perf: bool,
     /// Opt-in stderr heartbeat (`SimConfig::progress`) for every run.
     /// Like `perf`, byte-identical results — not part of the cache key.
@@ -312,7 +308,6 @@ impl Runner {
             scale,
             seed: 0xaa11,
             engine: EngineMode::default(),
-            sim_shards: std::num::NonZeroUsize::MIN,
             jobs,
             perf: false,
             progress: false,
@@ -327,17 +322,6 @@ impl Runner {
     /// mode only changes wall-clock.
     pub fn with_engine(mut self, engine: EngineMode) -> Runner {
         self.engine = engine;
-        self
-    }
-
-    /// Select the intra-run torus shard count for every run this runner
-    /// executes (`SimConfig::shards`). Orthogonal to
-    /// [`with_jobs`](Self::with_jobs): jobs parallelize *across* runs,
-    /// shards parallelize *within* one. Results are byte-identical across
-    /// shard counts (pinned by the engine equivalence suite), so the
-    /// cache key does not include it — sharding only changes wall-clock.
-    pub fn with_shards(mut self, shards: std::num::NonZeroUsize) -> Runner {
-        self.sim_shards = shards;
         self
     }
 
@@ -590,7 +574,6 @@ impl Runner {
         workload.seed = self.seed;
         let mut cfg = SimConfig::new(key.part);
         cfg.engine = self.engine;
-        cfg.shards = self.sim_shards;
         cfg.perf = self.perf.then(PerfConfig::default);
         cfg.progress = self.progress.then(ProgressConfig::default);
         tweak(&mut cfg);

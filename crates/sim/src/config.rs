@@ -286,17 +286,10 @@ pub struct SimConfig {
     /// wall-clock cost — so this is a performance knob, never a
     /// correctness one.
     pub engine: EngineMode,
-    /// Intra-run parallelism: partition the torus into this many
-    /// contiguous-rank slabs, each running the phase pipeline on its own
-    /// thread with boundary arrivals exchanged at a per-cycle barrier.
-    /// Like [`engine`](Self::engine), this is a performance knob and never
-    /// a correctness one: `NetStats` and traces are byte-identical for any
-    /// shard count (pinned by the differential fuzzer and conformance F7).
-    /// Clamped to the node count; `1` (the default, and what configs
-    /// serialized before the knob existed deserialize to) disables
-    /// threading entirely. Runs with `check_invariants` keep the sharded
-    /// *structure* but execute the shards on one thread, because the
-    /// oracle's ledger is inherently sequential.
+    /// Retired intra-run shard count. The engine ignores it: every cycle
+    /// runs on the caller's thread, and results never depended on it.
+    /// The field stays so stored configs keep deserializing: it is
+    /// optional on the wire (absent means 1) and 0 is rejected.
     pub shards: std::num::NonZeroUsize,
     /// Invariant oracle: independently re-derive the simulator's
     /// conservation laws and panic on the first violation — every injected
@@ -309,13 +302,13 @@ pub struct SimConfig {
     /// predictable branch per cycle, like the tracer.
     pub check_invariants: bool,
     /// Host-side performance profiling: `Some(cfg)` makes the engine
-    /// record where *wall-clock* time goes (per-phase/per-shard timing,
-    /// barrier waits, event-engine skip and wake counters — see
+    /// record where *wall-clock* time goes (per-phase timing,
+    /// event-engine skip and wake counters — see
     /// [`crate::perf`]), retrievable after the run via
     /// `Engine::take_perf`. `None` (the default) costs one predictable
     /// branch beside the tracer's. Profiling never perturbs results:
     /// `NetStats` is byte-identical with profiling on or off, in every
-    /// engine mode and at every shard count.
+    /// engine mode.
     pub perf: Option<PerfConfig>,
     /// Opt-in progress heartbeat: `Some(cfg)` makes the engine print a
     /// rate-limited status line (cycle, packets delivered, elapsed, ETA)
@@ -327,7 +320,7 @@ pub struct SimConfig {
     /// scheduled cycles. The empty plan (the default, and what configs
     /// serialized before fault injection deserialize to) is the healthy
     /// machine and costs nothing. Fault semantics are identical in every
-    /// engine mode and at every shard count.
+    /// engine mode.
     pub fault: FaultPlan,
 }
 
@@ -355,19 +348,6 @@ impl SimConfig {
             progress: None,
             fault: FaultPlan::default(),
         }
-    }
-
-    /// Back-compat shim for the retired `full_scan_engine: bool` knob.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set `engine = EngineMode::FullScan` / `EngineMode::ActiveSet` instead"
-    )]
-    pub fn set_full_scan_engine(&mut self, full_scan: bool) {
-        self.engine = if full_scan {
-            EngineMode::FullScan
-        } else {
-            EngineMode::ActiveSet
-        };
     }
 }
 
@@ -424,24 +404,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn full_scan_shim_maps_onto_engine_mode() {
-        let mut c = SimConfig::new("4x4".parse().unwrap());
-        assert_eq!(c.engine, EngineMode::ActiveSet);
-        c.set_full_scan_engine(true);
-        assert_eq!(c.engine, EngineMode::FullScan);
-        c.set_full_scan_engine(false);
-        assert_eq!(c.engine, EngineMode::ActiveSet);
-    }
-
-    #[test]
     fn shards_knob_round_trips_and_defaults_to_one() {
         let mut c = SimConfig::new("4x4".parse().unwrap());
         c.shards = std::num::NonZeroUsize::new(4).unwrap();
         let v = c.to_value();
         assert_eq!(SimConfig::from_value(&v).unwrap(), c);
         // Configs serialized before the knob existed have no `shards`
-        // field: they must keep deserializing, with sharding off.
+        // field: they must keep deserializing, as 1.
         let serde::Value::Object(mut fields) = v else {
             panic!("config serializes as an object")
         };
@@ -459,6 +428,25 @@ mod tests {
             }
         }
         assert!(SimConfig::from_value(&zeroed).is_err());
+        // The field is inert: a config carrying 4 simulates exactly like
+        // one carrying 1.
+        let run = |c: SimConfig| {
+            let p = c.partition.num_nodes();
+            let programs = (0..p)
+                .map(|r| {
+                    let sends = (0..p)
+                        .filter(|&d| d != r)
+                        .map(|d| crate::SendSpec::adaptive(d, 4, 120))
+                        .collect();
+                    Box::new(crate::ScriptedProgram::new(sends, p as u64 - 1))
+                        as Box<dyn crate::NodeProgram>
+                })
+                .collect();
+            crate::Engine::new(c, programs)
+                .run()
+                .expect("run completes")
+        };
+        assert_eq!(run(c), run(legacy));
     }
 
     #[test]

@@ -8,10 +8,6 @@
 //! program poll hints, rate windows, and link-busy horizons — and jumps
 //! `now` straight there.
 //!
-//! Event mode always executes the shards *sequentially* (see the module
-//! docs of [`super`]): freshness marks cross shard boundaries freely, so
-//! the bookkeeping here stays plain single-threaded state.
-//!
 //! ## Why the skip is exact
 //!
 //! A cycle may be skipped only when the cycle-stepped engine, run over
@@ -19,7 +15,7 @@
 //! counters:
 //!
 //! - no arrivals (the in-flight rings are empty until the next wake-up),
-//! - no deliveries (every shard's `deliver_q` empty, and stalled
+//! - no deliveries (`deliver_q` empty, and stalled
 //!   deliveries are only re-queued by a CPU drain, which is itself a
 //!   stepped event),
 //! - every CPU visit is a blocked poll — a rate-window check or a pure
@@ -85,7 +81,7 @@ pub(super) struct NodeEvent {
 /// "freshness" bitset of nodes whose arbitration inputs changed during
 /// the current stepped cycle (downstream pop or credit spend). A fresh
 /// node must be re-arbitrated next cycle, so any freshness suppresses
-/// skipping entirely. Indexed by *global* rank.
+/// skipping entirely. Indexed by node rank.
 pub(super) struct EventState {
     pub(super) nodes: Vec<NodeEvent>,
     fresh: Vec<u64>,
@@ -131,7 +127,7 @@ pub(super) enum WakeCause {
     DeliverQ,
     /// The earliest in-flight ring arrival.
     Arrival,
-    /// A CPU-phase wake of global node `g` (classified for the profile by
+    /// A CPU-phase wake of node `g` (classified for the profile by
     /// the node's [`PollState`] at skip time).
     Cpu(usize),
     /// A busy output link's release cycle.
@@ -151,7 +147,7 @@ impl Engine {
         if ev.any_fresh {
             return (now, WakeCause::Fresh);
         }
-        if self.shards.iter().any(|sd| !sd.deliver_q.is_empty()) {
+        if !self.queues.deliver_q.is_empty() {
             return (now, WakeCause::DeliverQ);
         }
         // Earliest in-flight arrival. Every launched packet lands within
@@ -160,7 +156,7 @@ impl Engine {
         let mut cause = WakeCause::Idle;
         'lap: for off in 0..RING as u64 {
             let slot = ((now + off) % RING as u64) as usize;
-            if self.shards.iter().any(|sd| !sd.ring[slot].is_empty()) {
+            if !self.queues.ring[slot].is_empty() {
                 e = now + off;
                 cause = WakeCause::Arrival;
                 break 'lap;
@@ -169,43 +165,41 @@ impl Engine {
         if e == now {
             return (now, cause);
         }
-        for (s, sd) in self.shards.iter().enumerate() {
-            let base = self.bounds[s];
-            for w in 0..sd.cpu_active.words.len() {
-                let mut bits = sd.cpu_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let wake = self.cpu_wake(base + i);
-                    if wake < e {
-                        e = wake;
-                        cause = WakeCause::Cpu(base + i);
-                    }
-                    if e <= now {
-                        return (now, cause);
-                    }
+        let q = &self.queues;
+        for w in 0..q.cpu_active.words.len() {
+            let mut bits = q.cpu_active.words[w];
+            while bits != 0 {
+                let g = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let wake = self.cpu_wake(g);
+                if wake < e {
+                    e = wake;
+                    cause = WakeCause::Cpu(g);
+                }
+                if e <= now {
+                    return (now, cause);
                 }
             }
-            for w in 0..sd.arb_active.words.len() {
-                let mut bits = sd.arb_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let wake = self.arb_wake(base + i);
-                    if wake < e {
-                        e = wake;
-                        cause = WakeCause::LinkBusy;
-                    }
-                    if e <= now {
-                        return (now, cause);
-                    }
+        }
+        for w in 0..q.arb_active.words.len() {
+            let mut bits = q.arb_active.words[w];
+            while bits != 0 {
+                let g = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let wake = self.arb_wake(g);
+                if wake < e {
+                    e = wake;
+                    cause = WakeCause::LinkBusy;
+                }
+                if e <= now {
+                    return (now, cause);
                 }
             }
         }
         (e, cause)
     }
 
-    /// Next cycle global node `g`'s CPU phase could do anything but a
+    /// Next cycle node `g`'s CPU phase could do anything but a
     /// replayable blocked poll. `cpu_visit` skips cycles with
     /// `cpu_free >= t + 1`, so the first visitable cycle is
     /// `floor(cpu_free)` — before that, even a pending drain cannot run.
@@ -239,7 +233,7 @@ impl Engine {
         wake
     }
 
-    /// Next cycle global node `g`'s arbitration could win an output.
+    /// Next cycle node `g`'s arbitration could win an output.
     /// Heads on *free* links already lost their last stepped arbitration
     /// on downstream feasibility, which only a stepped event can change
     /// (fresh marks handle that); so the only timed wake is a busy link
@@ -283,31 +277,26 @@ impl Engine {
     /// node's own wake, so a `Rate` window is closed and an `Asleep`
     /// decline repeats verbatim across the whole eligible span.
     fn replay_blocked_counters(&mut self, stop: u64) {
-        for s in 0..self.shards.len() {
-            let base = self.bounds[s];
-            for w in 0..self.shards[s].cpu_active.words.len() {
-                let mut bits = self.shards[s].cpu_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let g = base + i;
-                    let n = &self.nodes[g];
-                    if n.program_done || n.pulled.len() >= PULL_THRESHOLD || !n.reception.is_empty()
-                    {
-                        continue;
+        for w in 0..self.queues.cpu_active.words.len() {
+            let mut bits = self.queues.cpu_active.words[w];
+            while bits != 0 {
+                let g = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let n = &self.nodes[g];
+                if n.program_done || n.pulled.len() >= PULL_THRESHOLD || !n.reception.is_empty() {
+                    continue;
+                }
+                let from = (n.cpu_free as u64).max(self.now);
+                if stop <= from {
+                    continue;
+                }
+                let cycles = stop - from;
+                match self.events.as_ref().expect("event mode").nodes[g].poll {
+                    PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
+                    PollState::Asleep { denials } if denials > 0 => {
+                        self.stats.credit_blocked_events += denials * cycles;
                     }
-                    let from = (n.cpu_free as u64).max(self.now);
-                    if stop <= from {
-                        continue;
-                    }
-                    let cycles = stop - from;
-                    match self.events.as_ref().expect("event mode").nodes[g].poll {
-                        PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
-                        PollState::Asleep { denials } if denials > 0 => {
-                            self.stats.credit_blocked_events += denials * cycles;
-                        }
-                        _ => {}
-                    }
+                    _ => {}
                 }
             }
         }
@@ -329,6 +318,7 @@ impl Engine {
             return;
         }
         let watchdog_fire = self
+            .counts
             .last_progress
             .saturating_add(self.cfg.watchdog_cycles)
             .saturating_add(1);

@@ -26,36 +26,14 @@
 //! when it can prove the intervening cycles inert (see [`event`]). All
 //! three produce byte-identical [`NetStats`] and traces.
 //!
-//! ## Sharding
-//!
-//! The torus is partitioned into `SimConfig::shards` contiguous rank
-//! ranges (slabs along the outermost dimension, since ranks are
-//! x-innermost). Each cycle runs as three *sections* per shard:
-//!
-//! - **A** (phases 1–3): touches only the shard's own nodes, plus
-//!   commutative cross-shard effects (credit releases on this shard's own
-//!   cells, event freshness marks);
-//! - **B** (packet-id fix-up + phase 4): arbitration reads neighbour
-//!   state *only* through the shared credit array, whose cells each have
-//!   exactly one reading/spending shard (the unique upstream of the
-//!   FIFO), and stages cross-shard arrivals into per-(src,dst) outboxes;
-//! - **C**: drains staged arrivals in ascending source-shard order (which
-//!   reproduces the global ascending-node win order exactly) and applies
-//!   the cycle's deferred credit releases.
-//!
-//! With `shards > 1` (and neither the invariant oracle nor event-driven
-//! time in play) the sections run on one thread per shard, separated by
-//! barriers; otherwise they run on the caller's thread in ascending shard
-//! order. Both drive the *same* section code over the same data layout,
-//! so results are byte-identical for every shard count, threaded or not.
-//!
-//! Two accounting rules make the sections order-independent (and apply
-//! identically at `shards = 1`): credit freed by a phase-4 pop is
-//! released at the cycle boundary, not mid-phase, so arbitration sees a
-//! fixed credit snapshot regardless of node visit order; and CPU-busy
-//! time accumulates per node, folded into `NetStats::cpu_busy_cycles` in
-//! ascending node order only at observation points, so the float sum
-//! never depends on execution interleaving.
+//! The cycle closes with a **boundary drain**: credit freed by this
+//! cycle's phase-4 pops is released only now, not mid-phase, so
+//! arbitration sees one credit snapshot whatever the node visit order.
+//! Two further rules fix the order of everything else that results
+//! depend on: a win goes straight into the in-flight ring, so arrivals
+//! commit in ascending win order; and CPU-busy time accumulates per node
+//! and is folded into `NetStats::cpu_busy_cycles` in ascending node order,
+//! at observation points only, so the one float sum has a fixed order.
 //!
 //! The run ends when every program reports complete and no packet remains
 //! anywhere; a watchdog aborts with diagnostics if traffic stops moving.
@@ -67,7 +45,6 @@
 
 mod event;
 mod oracle;
-mod parallel;
 mod perf;
 mod phases;
 mod tracer;
@@ -77,13 +54,12 @@ use crate::node::{vc_fifo_index, NodeState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::program::{NodeApi, NodeProgram};
 use crate::stats::{NetStats, LATENCY_BUCKETS};
-use bgl_torus::{Coord, Dim, Direction, Partition, MAX_DIMS, MAX_PORTS};
+use bgl_torus::{Coord, Dim, Direction, Partition, MAX_PORTS};
 use event::EventState;
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
-use phases::{Router, Shard};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use phases::{Cycle, Router};
+use std::cell::Cell;
 use tracer::Tracer;
 
 /// In-flight ring size; must exceed max packet chunks + hop latency.
@@ -255,14 +231,6 @@ struct Arrival {
     pkt: Packet,
 }
 
-/// A staged cross-shard (or same-shard) arrival: phase 4 appends these to
-/// the winner shard's outbox; section C moves them into the destination
-/// shard's in-flight ring.
-struct OutMsg {
-    arrive: u64,
-    arr: Arrival,
-}
-
 #[derive(Clone, Copy)]
 enum WinSource {
     Transit { fifo: u8 },
@@ -284,9 +252,9 @@ struct Win {
 ///
 /// The engine maintains the invariant that every node with work is marked;
 /// a marked node that turns out to be idle is cleared when visited. Bits
-/// are only ever *set* for nodes of the same shard between phases
-/// (arrivals mark arbitration work, deliveries mark CPU work), so a phase
-/// can iterate a snapshot of each word without missing work.
+/// are only ever *set* between phases (arrivals mark arbitration work,
+/// deliveries mark CPU work), so a phase can iterate a snapshot of each
+/// word without missing work.
 struct ActiveSet {
     words: Vec<u64>,
 }
@@ -315,19 +283,17 @@ impl ActiveSet {
         self.words[i >> 6] &= !(1 << (i & 63));
     }
 
-    /// Marked-node count. Conservative marks make this an upper bound on
-    /// real work — exactly the right direction for the threading gate.
+    /// Marked-node count: an upper bound on the nodes with real work.
     fn popcount(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
-/// Per-shard simulation state. Indices stored here (`deliver_q`, ring
-/// arrivals) are *global* node ranks; the active sets use shard-local bit
-/// positions (`global - base`).
-struct ShardData {
-    /// In-flight ring: slot `t % RING` holds the packets arriving at this
-    /// shard's nodes at cycle `t`.
+/// The engine's work queues. Every index stored here (ring arrivals,
+/// `deliver_q`, active-set bits) is a global node rank.
+struct Queues {
+    /// In-flight ring: slot `t % RING` holds the packets arriving at
+    /// cycle `t`, in win order.
     ring: Vec<Vec<Arrival>>,
     deliver_q: Vec<(u32, u8)>,
     /// Nodes that may have CPU work (non-empty reception/pending/pulled
@@ -336,56 +302,36 @@ struct ShardData {
     /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
     /// or `inj_mask`).
     arb_active: ActiveSet,
-    /// Per-destination-shard staged wins of the current cycle.
-    outbox: Vec<Vec<OutMsg>>,
-    /// Packets injected this cycle, in injection order: `(local node,
-    /// fifo, queue position)` of each provisional-id packet, rewritten to
-    /// its final global id at the section-B fix-up.
-    injected: Vec<(u32, u8, u16)>,
     /// Credit releases from this cycle's phase-4 pops, applied at the
-    /// cycle boundary (section C): `(credit cell, chunks)`.
+    /// cycle boundary: `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
 }
 
-impl ShardData {
-    fn new(len: usize, nshards: usize) -> ShardData {
-        ShardData {
+impl Queues {
+    fn new(n: usize) -> Queues {
+        Queues {
             ring: (0..RING).map(|_| Vec::new()).collect(),
             deliver_q: Vec::new(),
-            cpu_active: ActiveSet::all(len),
-            arb_active: ActiveSet::all(len),
-            outbox: (0..nshards).map(|_| Vec::new()).collect(),
-            injected: Vec::new(),
+            cpu_active: ActiveSet::all(n),
+            arb_active: ActiveSet::all(n),
             deferred: Vec::new(),
         }
     }
 }
 
-/// Statistics a single shard accumulates over one cycle, merged into the
-/// engine's `NetStats` (in ascending shard order, though every merge is
-/// order-independent) at the cycle boundary.
+/// Run-wide packet and program counters, updated in place by the cycle
+/// phases.
 #[derive(Default)]
-struct CycleStats {
-    progress: bool,
-    live: i64,
-    pending: i64,
-    done: usize,
-    injected: u64,
-    delivered: u64,
-    payload: u64,
-    latency_sum: u64,
-    latency_max: u64,
-    hist: [u64; LATENCY_BUCKETS],
-    reception_stalls: u64,
-    pacing: u64,
-    credit_blocked: u64,
-    // Fixed-size per-dimension counters (only the first `ndims` entries are
-    // used): this struct is reset and merged every cycle, so it must stay
-    // allocation-free.
-    link_busy: [u64; MAX_DIMS],
-    hops: [u64; MAX_DIMS],
-    bubble: u64,
-    dynamic: u64,
+struct Counters {
+    live_packets: u64,
+    pending_total: u64,
+    done_programs: usize,
+    /// Id of the next injected packet: ids are dense and ascend in
+    /// (cycle, node, injection order).
+    next_packet_id: u64,
+    /// Last cycle in which any packet moved or any program made progress
+    /// (the watchdog's reference point).
+    last_progress: u64,
 }
 
 /// One scheduled liveness flip of one directed link, expanded from the
@@ -418,45 +364,17 @@ pub struct Engine {
     /// Available downstream space per transit VC FIFO, indexed
     /// `node * vc_cells + vc_fifo_index(port, vc)`, counting in-flight
     /// reservations (spent at the upstream win, released when the packet
-    /// is popped). Atomic so threaded shards can share it, but every cell
-    /// has a single accessor per section: the unique upstream node's
-    /// shard spends during phase 4, the owning node's shard releases
-    /// during phase 2 and at the boundary — so plain relaxed ordering is
-    /// exact, not approximate.
-    credits: Vec<AtomicU32>,
-    /// Shard boundaries: shard `s` owns global ranks
-    /// `bounds[s]..bounds[s+1]`.
-    bounds: Vec<usize>,
-    /// Owning shard of each global rank.
-    shard_of: Vec<u16>,
-    shards: Vec<ShardData>,
-    /// Per-(src,dst)-shard mailboxes (`src * nshards + dst`), swapped
-    /// against shard outboxes at the end of section B and drained by the
-    /// destination in section C. Uncontended by construction; the mutex
-    /// exists to let threaded shards exchange the vectors safely.
-    staging: Vec<Mutex<Vec<OutMsg>>>,
-    /// Per-shard injection counts of the current cycle, published at the
-    /// end of section A and prefix-summed by every shard in section B to
-    /// place its packet ids.
-    counts: Vec<AtomicU64>,
-    cycle_stats: Vec<CycleStats>,
-    /// Run sections on one thread per shard. Requires > 1 shard and
-    /// neither the oracle (whose ledgers are inherently global) nor
-    /// event-driven time (whose skip decisions are global); both of those
-    /// still run the sharded *structure* sequentially, byte-identically.
-    parallel: bool,
+    /// is popped). Cells, so the read-only [`Router`] view can spend them.
+    credits: Vec<Cell<u32>>,
+    queues: Queues,
     /// Reference mode: scan every node every cycle (see
     /// [`EngineMode::FullScan`]).
     full_scan: bool,
     /// Event-driven wake bookkeeping; `None` unless `cfg.engine` is
     /// [`EngineMode::EventDriven`].
     events: Option<Box<EventState>>,
-    live_packets: u64,
-    pending_total: u64,
-    done_programs: usize,
-    next_packet_id: u64,
+    counts: Counters,
     stats: NetStats,
-    last_progress: u64,
     started: bool,
     /// Time-series sampler; `None` unless `SimConfig::trace` is set.
     tracer: Option<Box<Tracer>>,
@@ -472,7 +390,7 @@ pub struct Engine {
     /// Per-directed-link liveness (`node·ports + dir`), *empty* on a healthy
     /// run so the hot paths keep a `None` fast path instead of a bounds
     /// check per probe. Mutated only by `apply_fault_transitions`, at the
-    /// top of a cycle, single-threaded.
+    /// top of a cycle.
     fault_alive: Vec<bool>,
     /// The fault plan expanded to per-link liveness flips, sorted by
     /// (cycle, link).
@@ -532,20 +450,7 @@ impl Engine {
             },
             ..NetStats::default()
         };
-        // Contiguous rank slabs; u16::MAX shards is plenty and keeps the
-        // ownership map compact.
-        let nshards = cfg.shards.get().min(p).min(u16::MAX as usize);
-        let bounds: Vec<usize> = (0..=nshards).map(|s| s * p / nshards).collect();
-        let mut shard_of = vec![0u16; p];
-        for s in 0..nshards {
-            shard_of[bounds[s]..bounds[s + 1]].fill(s as u16);
-        }
-        let shards = (0..nshards)
-            .map(|s| ShardData::new(bounds[s + 1] - bounds[s], nshards))
-            .collect();
-        let credits = (0..p * vc_cells)
-            .map(|_| AtomicU32::new(cfg.router.vc_fifo_chunks))
-            .collect();
+        let credits = vec![Cell::new(cfg.router.vc_fifo_chunks); p * vc_cells];
         let full_scan = cfg.engine == EngineMode::FullScan;
         let events = (cfg.engine == EngineMode::EventDriven).then(|| Box::new(EventState::new(p)));
         let tracer = cfg
@@ -556,12 +461,11 @@ impl Engine {
         let perf = cfg
             .perf
             .is_some()
-            .then(|| Box::new(PerfState::new(nshards, events.is_some())));
+            .then(|| Box::new(PerfState::new(events.is_some())));
         let progress = cfg
             .progress
             .as_ref()
             .map(|pc| Box::new(ProgressState::new(pc)));
-        let parallel = nshards > 1 && oracle.is_none() && events.is_none();
         let mut fault_alive = Vec::new();
         let mut fault_schedule = Vec::new();
         if !cfg.fault.is_empty() {
@@ -593,23 +497,11 @@ impl Engine {
             vc_cells,
             link_busy_until: vec![0; p * ports],
             credits,
-            bounds,
-            shard_of,
-            shards,
-            staging: (0..nshards * nshards)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            counts: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
-            cycle_stats: (0..nshards).map(|_| CycleStats::default()).collect(),
-            parallel,
+            queues: Queues::new(p),
             full_scan,
             events,
-            live_packets: 0,
-            pending_total: 0,
-            done_programs: 0,
-            next_packet_id: 0,
+            counts: Counters::default(),
             stats,
-            last_progress: 0,
             started: false,
             tracer,
             oracle,
@@ -636,11 +528,6 @@ impl Engine {
     /// so mid-run reads of that one field may lag.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Number of shards in use (after clamping to the node count).
-    pub fn shard_count(&self) -> usize {
-        self.bounds.len() - 1
     }
 
     /// Run to completion. Returns the final statistics.
@@ -671,7 +558,7 @@ impl Engine {
                     limit: self.cfg.max_cycles,
                 });
             }
-            if self.now.saturating_sub(self.last_progress) > self.cfg.watchdog_cycles {
+            if self.now.saturating_sub(self.counts.last_progress) > self.cfg.watchdog_cycles {
                 // Capture the stalled queue state itself as a final
                 // sample, then report the tail: the last windows before
                 // the deadlock plus the frozen snapshot.
@@ -687,7 +574,7 @@ impl Engine {
                 if breakdown.fault_blocked_heads > 0 && !self.fault_recovery_pending() {
                     return Err(SimError::Unreachable {
                         cycle: self.now,
-                        blocked_packets: self.live_packets + self.pending_total,
+                        blocked_packets: self.counts.live_packets + self.counts.pending_total,
                         faults: self.fault_block_report(),
                     });
                 }
@@ -698,8 +585,8 @@ impl Engine {
                     .unwrap_or_default();
                 return Err(SimError::Stalled {
                     cycle: self.now,
-                    live_packets: self.live_packets + self.pending_total,
-                    incomplete_programs: self.programs.len() - self.done_programs,
+                    live_packets: self.counts.live_packets + self.counts.pending_total,
+                    incomplete_programs: self.programs.len() - self.counts.done_programs,
                     breakdown,
                     trace_tail,
                 });
@@ -723,9 +610,9 @@ impl Engine {
     /// complete.
     pub fn is_complete(&self) -> bool {
         self.started
-            && self.live_packets == 0
-            && self.pending_total == 0
-            && self.done_programs == self.programs.len()
+            && self.counts.live_packets == 0
+            && self.counts.pending_total == 0
+            && self.counts.done_programs == self.programs.len()
     }
 
     fn start_programs(&mut self) {
@@ -743,10 +630,10 @@ impl Engine {
             // Anchoring at `max(cpu_free, now)` is implicit here: `start`
             // runs at cycle 0 with every `cpu_free` still 0.0.
             node.cpu_free += extra;
-            self.pending_total += (after - before) as u64;
+            self.counts.pending_total += (after - before) as u64;
             if prog.is_complete() {
                 node.program_done = true;
-                self.done_programs += 1;
+                self.counts.done_programs += 1;
             }
         }
         self.programs = programs;
@@ -754,7 +641,7 @@ impl Engine {
 
     /// Fold the per-node CPU-busy accumulators into
     /// `stats.cpu_busy_cycles`, in ascending node order — the one float
-    /// reduction in the stats, pinned to a shard-independent order.
+    /// reduction in the stats, pinned to a fixed order.
     fn sync_cpu_busy(&mut self) {
         self.stats.cpu_busy_cycles = self.nodes.iter().map(|n| n.cpu_busy).sum();
     }
@@ -776,10 +663,9 @@ impl Engine {
 
     /// Apply every fault transition scheduled at or before the current
     /// cycle: flip link liveness, drop packets in flight on dying links,
-    /// and wake the affected endpoints. Runs at the top of `step()` —
-    /// before any phase, on one thread — so every engine mode and shard
-    /// count observes transitions at exactly the same point and results
-    /// stay byte-identical.
+    /// and wake the affected endpoints. Runs at the top of `step()`,
+    /// before any phase, so every engine mode observes transitions at
+    /// exactly the same point and results stay byte-identical.
     fn apply_fault_transitions(&mut self) {
         while let Some(&ev) = self.fault_schedule.get(self.fault_cursor) {
             if ev.cycle > self.now {
@@ -798,7 +684,7 @@ impl Engine {
             // A transition is progress: the topology changed, so the
             // watchdog clock restarts (a long wait for a scheduled
             // recovery must not fire it).
-            self.last_progress = self.now;
+            self.counts.last_progress = self.now;
             self.wake_for_fault(u, v as usize);
         }
     }
@@ -811,10 +697,8 @@ impl Engine {
             if let Some(ev) = &mut self.events {
                 ev.mark_fresh(g);
             }
-            let s = self.shard_of[g] as usize;
-            let local = g - self.bounds[s];
-            self.shards[s].arb_active.mark(local);
-            self.shards[s].cpu_active.mark(local);
+            self.queues.arb_active.mark(g);
+            self.queues.cpu_active.mark(g);
         }
     }
 
@@ -826,10 +710,9 @@ impl Engine {
     /// once", which the oracle checks at quiesce.
     fn drop_in_flight(&mut self, d: Direction, v: usize) {
         let dp = d.opposite().index();
-        let sv = self.shard_of[v] as usize;
         let keep = (self.now % RING as u64) as usize;
         let mut dropped: Vec<Packet> = Vec::new();
-        for (slot, ring) in self.shards[sv].ring.iter_mut().enumerate() {
+        for (slot, ring) in self.queues.ring.iter_mut().enumerate() {
             // Arrivals of the current cycle finished crossing before the
             // transition; they arrive normally. Every other slot holds
             // future arrivals: chunks still on the dying wire.
@@ -847,8 +730,8 @@ impl Engine {
         }
         for pkt in dropped {
             let cell = v * self.vc_cells + vc_fifo_index(dp, pkt.vc.index());
-            self.credits[cell].fetch_add(pkt.chunks as u32, Relaxed);
-            self.live_packets -= 1;
+            self.router().release(cell, pkt.chunks as u32);
+            self.counts.live_packets -= 1;
             self.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
                 o.on_drop(&pkt);
@@ -858,82 +741,40 @@ impl Engine {
             prog.on_packet_dropped(&pkt);
             if prog.is_complete() && !self.nodes[dst].program_done {
                 self.nodes[dst].program_done = true;
-                self.done_programs += 1;
+                self.counts.done_programs += 1;
             }
             if let Some(ev) = &mut self.events {
                 ev.mark_fresh(dst);
             }
-            let s = self.shard_of[dst] as usize;
-            self.shards[s].cpu_active.mark(dst - self.bounds[s]);
+            self.queues.cpu_active.mark(dst);
         }
     }
 
-    /// Borrow shard `s`'s slice of the engine as a section context.
-    fn shard_ctx(&mut self, s: usize) -> Shard<'_> {
-        let (lo, hi) = (self.bounds[s], self.bounds[s + 1]);
-        let ports = self.ports;
-        Shard {
+    /// Borrow the engine as one cycle's phase context.
+    fn cycle(&mut self) -> Cycle<'_> {
+        Cycle {
             router: Router {
                 cfg: &self.cfg,
                 neighbors: &self.neighbors,
                 credits: &self.credits,
                 link_alive: (!self.fault_alive.is_empty()).then_some(&self.fault_alive[..]),
-                ports,
+                ports: self.ports,
                 vc_cells: self.vc_cells,
                 ndims: self.part.ndims(),
             },
             part: &self.part,
-            shard_of: &self.shard_of,
-            counts: &self.counts,
-            staging: &self.staging,
-            nshards: self.bounds.len() - 1,
-            si: s,
-            base: lo,
-            next_id0: self.next_packet_id,
+            now: self.now,
             full_scan: self.full_scan,
-            nodes: &mut self.nodes[lo..hi],
-            programs: &mut self.programs[lo..hi],
-            link_busy_until: &mut self.link_busy_until[lo * ports..hi * ports],
-            link_stats: if self.cfg.detailed_link_stats {
-                &mut self.stats.link_busy_per_link[lo * ports..hi * ports]
-            } else {
-                &mut []
-            },
-            sd: &mut self.shards[s],
-            cs: &mut self.cycle_stats[s],
+            nodes: &mut self.nodes,
+            programs: &mut self.programs,
+            link_busy_until: &mut self.link_busy_until,
+            q: &mut self.queues,
+            counts: &mut self.counts,
+            stats: &mut self.stats,
             events: self.events.as_deref_mut(),
             oracle: self.oracle.as_deref_mut(),
-            perf: self.perf.as_deref_mut().map(|p| &mut p.profile.shards[s]),
+            perf: self.perf.as_deref_mut().map(|p| &mut p.profile.phases),
         }
-    }
-
-    /// Per-cycle gate for the threaded path: spawning the shard threads
-    /// costs tens of microseconds, so thin cycles — sparse traffic,
-    /// warm-up, drain tails — run the same three sections inline on this
-    /// thread instead. Both paths execute identical section code in the
-    /// same order, so the choice is invisible in every statistic; it only
-    /// moves wall-clock. The estimate is the marked active-set population
-    /// plus the pending delivery retries and this cycle's ring arrivals,
-    /// an upper bound on nodes actually visited.
-    fn cycle_is_wide(&self, t: u64) -> bool {
-        /// Minimum estimated active nodes per shard before threads pay.
-        const MIN_ACTIVE_PER_SHARD: usize = 128;
-        let floor = (self.bounds.len() - 1) * MIN_ACTIVE_PER_SHARD;
-        if self.full_scan {
-            // The full scan visits every node every cycle by definition.
-            return self.nodes.len() >= floor;
-        }
-        let mut active = 0usize;
-        for sd in &self.shards {
-            active += sd.cpu_active.popcount()
-                + sd.arb_active.popcount()
-                + sd.deliver_q.len()
-                + sd.ring[(t % RING as u64) as usize].len();
-            if active >= floor {
-                return true;
-            }
-        }
-        false
     }
 
     /// Advance one cycle (starting the programs first if needed).
@@ -947,29 +788,11 @@ impl Engine {
         if self.fault_cursor < self.fault_schedule.len() {
             self.apply_fault_transitions();
         }
-        let t = self.now;
-        for cs in &mut self.cycle_stats {
-            *cs = CycleStats::default();
-        }
-        let nshards = self.bounds.len() - 1;
-        let wide = self.parallel && self.cycle_is_wide(t);
         if self.perf.is_some() {
-            self.perf_note_step(wide);
+            self.perf_note_step();
         }
-        if wide {
-            self.step_parallel(t);
-        } else {
-            for s in 0..nshards {
-                self.shard_ctx(s).section_a(t);
-            }
-            for s in 0..nshards {
-                self.shard_ctx(s).section_b(t);
-            }
-            for s in 0..nshards {
-                self.shard_ctx(s).section_c();
-            }
-        }
-        self.merge_cycle(t);
+        self.cycle().run();
+        let t = self.now;
         self.now = t + 1;
         // Cycle-boundary oracle sweep: all four phases have run, so the
         // global counters must agree and no FIFO may be over its credit
@@ -986,44 +809,6 @@ impl Engine {
         }
     }
 
-    /// Fold the cycle's per-shard statistics into the run totals. Every
-    /// merge is order-independent (sums, maxima), so the ascending shard
-    /// order here is a convention, not a requirement.
-    fn merge_cycle(&mut self, t: u64) {
-        let mut id_total = 0;
-        for (s, cs) in self.cycle_stats.iter().enumerate() {
-            id_total += self.counts[s].load(Relaxed);
-            if cs.progress {
-                self.last_progress = t;
-            }
-            self.live_packets = (self.live_packets as i64 + cs.live) as u64;
-            self.pending_total = (self.pending_total as i64 + cs.pending) as u64;
-            self.done_programs += cs.done;
-            let st = &mut self.stats;
-            st.packets_injected += cs.injected;
-            st.packets_delivered += cs.delivered;
-            st.payload_bytes_delivered += cs.payload;
-            st.total_latency_cycles += cs.latency_sum;
-            st.max_latency_cycles = st.max_latency_cycles.max(cs.latency_max);
-            if cs.delivered > 0 {
-                st.completion_cycle = t;
-            }
-            for (h, d) in st.latency_histogram.iter_mut().zip(cs.hist) {
-                *h += d;
-            }
-            st.reception_stall_events += cs.reception_stalls;
-            st.pacing_blocked_cycles += cs.pacing;
-            st.credit_blocked_events += cs.credit_blocked;
-            for d in 0..st.link_busy_chunks.len() {
-                st.link_busy_chunks[d] += cs.link_busy[d];
-                st.hops_taken[d] += cs.hops[d];
-            }
-            st.bubble_hops += cs.bubble;
-            st.dynamic_hops += cs.dynamic;
-        }
-        self.next_packet_id += id_total;
-    }
-
     /// Diagnostic: dimension utilization snapshot helper.
     pub fn partition(&self) -> &Partition {
         &self.part
@@ -1031,7 +816,7 @@ impl Engine {
 
     /// Diagnostic: where packets currently are (for stall reports/tests).
     pub fn live_packet_count(&self) -> u64 {
-        self.live_packets + self.pending_total
+        self.counts.live_packets + self.counts.pending_total
     }
 
     /// Diagnostic: coordinate of a rank.

@@ -8,15 +8,13 @@
 //! when the network state is provably frozen, so the checks would examine
 //! the same state they just passed on.
 //!
-//! Oracle runs execute the sharded engine *sequentially* regardless of
-//! the configured shard count (see the module docs of [`super`]): the
-//! hooks fire in the exact global order the checks assume, and the
-//! cycle-boundary sweep can read the credit array at rest.
+//! The hooks fire in the engine's one fixed order: a packet is recorded
+//! at injection, when its id is assigned, and the cycle-boundary sweep
+//! reads the credit array after the boundary drain, at rest.
 
 use super::Engine;
 use crate::node::vc_fifo_index;
 use crate::packet::Packet;
-use std::sync::atomic::Ordering::Relaxed;
 
 /// Independent re-derivation of the simulator's conservation laws, enabled
 /// by [`SimConfig::check_invariants`](crate::SimConfig). Per-packet state
@@ -61,8 +59,8 @@ impl Oracle {
         }
     }
 
-    /// Record a freshly injected packet (plan not yet advanced). Called at
-    /// the section-B id fix-up — the first point the final id exists.
+    /// Record a freshly injected packet (plan not yet advanced). Called in
+    /// phase 3, as the packet enters its injection FIFO.
     pub(super) fn on_inject(&mut self, pkt: &Packet) {
         assert_eq!(
             pkt.id as usize,
@@ -162,10 +160,8 @@ impl Engine {
     /// counter must telescope (injected − delivered), every FIFO's
     /// occupancy must fit its capacity, and every transit-VC credit cell
     /// must conserve chunks: available credit + physically occupied +
-    /// in flight toward the cell = capacity. The conservation law is the
-    /// sharded engine's load-bearing invariant — a credit leaked (or
-    /// double-released) by any section of any shard breaks it at the very
-    /// next boundary.
+    /// in flight toward the cell = capacity. A credit leaked (or
+    /// double-released) by any phase breaks it at the very next boundary.
     pub(super) fn oracle_cycle_check(&self, t: u64) {
         let o = self.oracle.as_ref().expect("caller checked");
         let injected = o.planned_hops.len() as u64;
@@ -185,29 +181,25 @@ impl Engine {
             o.dropped_count, self.stats.dropped_by_fault
         );
         assert_eq!(
-            self.live_packets,
+            self.counts.live_packets,
             injected - o.delivered_count - o.dropped_count,
             "invariant violated: live packets must equal injected − delivered − dropped (cycle {t})"
         );
         // Chunks launched toward each transit cell but not yet arrived:
-        // at a cycle boundary every such packet sits in some shard's
-        // in-flight ring (outboxes and staging mailboxes drain within
-        // the cycle that filled them).
+        // every such packet sits in the in-flight ring.
         let vc_cells = self.vc_cells;
         let mut inflight = vec![0u64; self.nodes.len() * vc_cells];
-        for sd in &self.shards {
-            for slot in &sd.ring {
-                for arr in slot {
-                    let cell = arr.node as usize * vc_cells
-                        + vc_fifo_index(arr.port as usize, arr.pkt.vc.index());
-                    inflight[cell] += arr.pkt.chunks as u64;
-                }
+        for slot in &self.queues.ring {
+            for arr in slot {
+                let cell = arr.node as usize * vc_cells
+                    + vc_fifo_index(arr.port as usize, arr.pkt.vc.index());
+                inflight[cell] += arr.pkt.chunks as u64;
             }
         }
         for (ni, node) in self.nodes.iter().enumerate() {
             for (c, f) in node.vcs.iter().enumerate() {
                 let cell = ni * vc_cells + c;
-                let credit = self.credits[cell].load(Relaxed) as u64;
+                let credit = self.credits[cell].get() as u64;
                 let occupied = f.occupied_chunks() as u64;
                 assert_eq!(
                     credit + occupied + inflight[cell],
@@ -288,7 +280,7 @@ impl Engine {
                 "invariant violated: node {ni} still holds packets at quiesce"
             );
             for (c, f) in node.vcs.iter().enumerate() {
-                let credit = self.credits[ni * self.vc_cells + c].load(Relaxed);
+                let credit = self.credits[ni * self.vc_cells + c].get();
                 assert!(
                     f.is_empty() && f.occupied_chunks() == 0 && credit == f.capacity_chunks(),
                     "invariant violated: transit FIFO (node {ni}, fifo {c}) not drained at \
@@ -309,9 +301,7 @@ impl Engine {
             }
         }
         assert!(
-            self.shards
-                .iter()
-                .all(|sd| sd.ring.iter().all(|slot| slot.is_empty())),
+            self.queues.ring.iter().all(|slot| slot.is_empty()),
             "invariant violated: packets still in flight at quiesce"
         );
     }

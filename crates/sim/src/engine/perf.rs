@@ -9,7 +9,7 @@
 
 use super::event::{PollState, WakeCause};
 use super::Engine;
-use crate::perf::{EventPerf, PerfProfile, ProgressConfig, ShardPerf};
+use crate::perf::{EventPerf, PerfProfile, ProgressConfig};
 use std::time::Instant;
 
 /// Live profiler state: the profile under construction plus accumulators
@@ -22,10 +22,9 @@ pub(super) struct PerfState {
 }
 
 impl PerfState {
-    pub(super) fn new(nshards: usize, event_mode: bool) -> PerfState {
+    pub(super) fn new(event_mode: bool) -> PerfState {
         PerfState {
             profile: PerfProfile {
-                shards: vec![ShardPerf::default(); nshards],
                 event: event_mode.then(EventPerf::default),
                 ..PerfProfile::default()
             },
@@ -82,24 +81,16 @@ impl Engine {
         Some(profile)
     }
 
-    /// Per-stepped-cycle bookkeeping: occupancy sample plus the
-    /// spawn-vs-inline decision. Only called when profiling is on.
-    pub(super) fn perf_note_step(&mut self, wide: bool) {
-        let occ: u64 = self
-            .shards
-            .iter()
-            .map(|sd| (sd.cpu_active.popcount() + sd.arb_active.popcount()) as u64)
-            .sum();
+    /// Per-stepped-cycle bookkeeping: the occupancy sample. Only called
+    /// when profiling is on.
+    pub(super) fn perf_note_step(&mut self) {
+        let q = &self.queues;
+        let occ = (q.cpu_active.popcount() + q.arb_active.popcount()) as u64;
         let p = self
             .perf
             .as_deref_mut()
             .expect("perf_note_step requires profiling on");
         p.profile.stepped_cycles += 1;
-        if wide {
-            p.profile.wide_cycles += 1;
-        } else {
-            p.profile.inline_cycles += 1;
-        }
         p.occupancy_sum += occ;
         p.profile.active_occupancy_max = p.profile.active_occupancy_max.max(occ);
     }
@@ -174,7 +165,7 @@ impl Engine {
         let since_emit = pr.last_emit.elapsed().as_secs_f64();
         if since_emit >= pr.interval_secs {
             let elapsed = pr.started.elapsed().as_secs_f64();
-            let done = self.done_programs;
+            let done = self.counts.done_programs;
             let total = self.programs.len();
             let eta = if done > 0 && done < total && elapsed > 0.0 {
                 let rate = done as f64 / elapsed;

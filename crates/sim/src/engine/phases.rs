@@ -1,43 +1,27 @@
-//! The four per-cycle phases (arrivals → deliveries → CPU → arbitration)
-//! and their helpers, expressed over one shard of the torus. Identical
-//! code serves all three [`EngineMode`](crate::EngineMode)s — the full
-//! scan and the active-set scan differ only in which nodes a phase
-//! visits, and the event-driven mode steps the same phases at the cycles
-//! it cannot prove frozen — and every shard count, threaded or not.
-//!
-//! ## Section layout
-//!
-//! A cycle is three sections per shard (see the module docs of
-//! [`super`]): **A** = phases 1–3, **B** = packet-id fix-up + phase 4,
-//! **C** = staged-arrival drain + deferred credit releases. Cross-shard
-//! state is touched only through:
-//!
-//! - the shared **credit array** ([`Router::credit`]): during phase 4 a
-//!   cell is read and spent exclusively by the unique upstream node of
-//!   its FIFO; releases happen in phase 2 (section A) or at the cycle
-//!   boundary (section C), never concurrently with the reads;
-//! - the **staging mailboxes**: written at the end of section B, drained
-//!   in section C in ascending source-shard order, which reproduces the
-//!   global ascending-node win order of an unsharded engine exactly;
-//! - event **freshness marks** (sequential execution only — the
-//!   event-driven mode never runs threaded).
+//! The per-cycle phases (arrivals → deliveries → CPU → arbitration →
+//! boundary drain) and their helpers. Identical code serves all three
+//! [`EngineMode`](crate::EngineMode)s — the full scan and the active-set
+//! scan differ only in which nodes a phase visits, and the event-driven
+//! mode steps the same phases at the cycles it cannot prove frozen.
 //!
 //! Arbitration never reads another node's FIFOs directly; every
 //! downstream-feasibility probe ([`Router::feasible_vc`] and friends) is
-//! a credit-array load. That single indirection is what makes the phase
-//! order within a cycle immaterial across shards.
+//! a load from the credit array. Credit freed by a phase-4 pop is
+//! released only at the boundary drain, so within one cycle those loads
+//! see a fixed snapshot, and the node visit order of phase 4 cannot leak
+//! into results.
 
 use super::event::{EventState, NodeEvent, PollState};
-use super::{Arrival, CycleStats, OutMsg, ShardData, Win, WinSource, RING};
+use super::{Arrival, Counters, Queues, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET, NO_DETOUR};
-use crate::perf::ShardPerf;
+use crate::perf::PhaseSecs;
 use crate::program::{NodeApi, NodeProgram, PollHint};
+use crate::stats::NetStats;
 use bgl_torus::{Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 /// Below this pending-queue depth the engine keeps pulling the
 /// program's own sends, so reactive sends waiting for FIFO space do not
@@ -58,16 +42,16 @@ const INJECT_SCAN: usize = 16;
 /// summary pays off exactly in the sparse regime it exists for.
 const SUMMARY_MAX_HEADS: u32 = 6;
 
-/// The read-only routing-feasibility view: configuration, topology and
-/// the shared downstream-credit array. Everything phase 4 needs to know
-/// about *other* nodes flows through here, which is why it is equally
-/// usable from a shard section and from the engine's own diagnostics
-/// (HOL probes, stall breakdowns).
+/// The routing-feasibility view: configuration, topology and the
+/// downstream-credit array. Everything phase 4 needs to know about
+/// *other* nodes flows through here, which is why it is equally usable
+/// from the phases and from the engine's own diagnostics (HOL probes,
+/// stall breakdowns).
 #[derive(Clone, Copy)]
 pub(super) struct Router<'a> {
     pub(super) cfg: &'a SimConfig,
     pub(super) neighbors: &'a [[u32; MAX_PORTS]],
-    pub(super) credits: &'a [AtomicU32],
+    pub(super) credits: &'a [Cell<u32>],
     /// Per-directed-link liveness under an active fault plan; `None` on a
     /// healthy run, so every probe below stays one branch.
     pub(super) link_alive: Option<&'a [bool]>,
@@ -82,13 +66,20 @@ pub(super) struct Router<'a> {
 
 impl Router<'_> {
     /// Available space (counting in-flight reservations) of the transit
-    /// VC FIFO at global node `n`, input port `port`, VC `vc`.
+    /// VC FIFO at node `n`, input port `port`, VC `vc`.
     #[inline]
     fn credit(&self, n: usize, port: usize, vc: usize) -> u32 {
-        self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].load(Relaxed)
+        self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].get()
     }
 
-    /// Whether the directed link out of global node `n` along `d` is up.
+    /// Return `chunks` of space to credit cell `cell`.
+    #[inline]
+    pub(super) fn release(&self, cell: usize, chunks: u32) {
+        let c = &self.credits[cell];
+        c.set(c.get() + chunks);
+    }
+
+    /// Whether the directed link out of node `n` along `d` is up.
     /// Arbitration refuses dead links outright; everything else (HOL
     /// probes, escape preconditions) treats them as permanently blocked.
     #[inline]
@@ -174,7 +165,7 @@ impl Router<'_> {
     /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
     /// VC has credit. `from_dim` is the dimension of the input port the
     /// packet currently occupies (`None` for injection); `n` and `nb` are
-    /// global ranks.
+    /// node ranks.
     pub(super) fn feasible_vc(
         &self,
         pkt: &Packet,
@@ -381,43 +372,32 @@ pub(super) fn sendable_dirs(node: &NodeState, ports: usize) -> u16 {
     dirs
 }
 
-/// One shard's view of the engine for the duration of a section: shared
-/// read-only state (topology, credits, mailboxes), exclusive slices of
-/// the per-node state for the shard's own rank range, and the shard's
-/// private scratch. `nodes`/`programs`/`link_busy_until`/`link_stats`
-/// are indexed *locally* (global rank − `base`); everything else uses
-/// global ranks.
-pub(super) struct Shard<'a> {
+/// The engine, borrowed for one cycle: the read-only routing view plus
+/// exclusive access to the node state, queues and observers the phases
+/// mutate.
+pub(super) struct Cycle<'a> {
     pub(super) router: Router<'a>,
     pub(super) part: &'a Partition,
-    pub(super) shard_of: &'a [u16],
-    pub(super) counts: &'a [AtomicU64],
-    pub(super) staging: &'a [Mutex<Vec<OutMsg>>],
-    pub(super) nshards: usize,
-    pub(super) si: usize,
-    pub(super) base: usize,
-    pub(super) next_id0: u64,
+    /// The cycle being run.
+    pub(super) now: u64,
     pub(super) full_scan: bool,
     pub(super) nodes: &'a mut [NodeState],
     pub(super) programs: &'a mut [Box<dyn NodeProgram>],
     pub(super) link_busy_until: &'a mut [u64],
-    /// Shard's slice of `NetStats::link_busy_per_link`; empty when
-    /// detailed link stats are off.
-    pub(super) link_stats: &'a mut [u64],
-    pub(super) sd: &'a mut ShardData,
-    pub(super) cs: &'a mut CycleStats,
-    /// Event-driven bookkeeping (global node indices). `Some` only under
-    /// sequential execution — the event mode never runs threaded.
+    pub(super) q: &'a mut Queues,
+    pub(super) counts: &'a mut Counters,
+    pub(super) stats: &'a mut NetStats,
+    /// Event-driven bookkeeping; `Some` only in event mode.
     pub(super) events: Option<&'a mut EventState>,
-    /// Invariant oracle. `Some` only under sequential execution.
+    /// Invariant oracle; `Some` only with `check_invariants`.
     pub(super) oracle: Option<&'a mut crate::engine::oracle::Oracle>,
-    /// This shard's slot of the host profiler (`SimConfig::perf`). The
-    /// profiler only reads the host clock and writes its own accumulator,
-    /// so enabling it can never perturb simulation results.
-    pub(super) perf: Option<&'a mut ShardPerf>,
+    /// The host profiler's phase clock (`SimConfig::perf`). The profiler
+    /// only reads the host clock and writes its own accumulator, so
+    /// enabling it can never perturb simulation results.
+    pub(super) perf: Option<&'a mut PhaseSecs>,
 }
 
-impl Shard<'_> {
+impl Cycle<'_> {
     /// Start a lap clock — `Some` only when profiling is on, so the
     /// off-path cost of every lap call site is one predictable branch.
     #[inline]
@@ -431,7 +411,7 @@ impl Shard<'_> {
     fn perf_lap(
         &mut self,
         clk: &mut Option<std::time::Instant>,
-        slot: fn(&mut ShardPerf) -> &mut f64,
+        slot: fn(&mut PhaseSecs) -> &mut f64,
     ) {
         if let Some(t0) = clk {
             let p = self
@@ -444,86 +424,32 @@ impl Shard<'_> {
         }
     }
 
-    /// Section A: phases 1–3 over this shard's nodes, then publish the
-    /// cycle's injection count for the section-B id fix-up.
-    pub(super) fn section_a(&mut self, t: u64) {
+    /// Run the cycle: the four phases, then the boundary drain of the
+    /// credits freed by this cycle's phase-4 pops.
+    pub(super) fn run(&mut self) {
+        let t = self.now;
         let mut clk = self.perf_clock();
         self.phase_arrivals(t);
-        self.perf_lap(&mut clk, |p| &mut p.phases.arrivals);
-        self.phase_deliveries(t);
-        self.perf_lap(&mut clk, |p| &mut p.phases.deliveries);
+        self.perf_lap(&mut clk, |p| &mut p.arrivals);
+        self.phase_deliveries();
+        self.perf_lap(&mut clk, |p| &mut p.deliveries);
         self.phase_cpu(t);
-        self.counts[self.si].store(self.sd.injected.len() as u64, Relaxed);
-        self.perf_lap(&mut clk, |p| &mut p.phases.cpu);
-    }
-
-    /// Section B: rewrite this cycle's provisional packet ids to their
-    /// final global values (prefix sum over the published per-shard
-    /// counts), run phase 4, and hand the staged wins to the mailboxes.
-    pub(super) fn section_b(&mut self, t: u64) {
-        let mut clk = self.perf_clock();
-        self.fixup_ids();
-        self.perf_lap(&mut clk, |p| &mut p.phases.id_fixup);
+        self.perf_lap(&mut clk, |p| &mut p.cpu);
         self.phase_arbitration(t);
-        for dest in 0..self.nshards {
-            let cell = &self.staging[self.si * self.nshards + dest];
-            std::mem::swap(
-                &mut *cell.lock().expect("staging poisoned"),
-                &mut self.sd.outbox[dest],
-            );
+        self.perf_lap(&mut clk, |p| &mut p.arbitration);
+        for (cell, chunks) in self.q.deferred.drain(..) {
+            self.router.release(cell as usize, chunks);
         }
-        self.perf_lap(&mut clk, |p| &mut p.phases.arbitration);
-    }
-
-    /// Section C: move staged arrivals (ascending source shard — the
-    /// global win order) into this shard's in-flight ring, and release
-    /// the credits freed by this shard's phase-4 pops.
-    pub(super) fn section_c(&mut self) {
-        let mut clk = self.perf_clock();
-        for src in 0..self.nshards {
-            let cell = &self.staging[src * self.nshards + self.si];
-            let mut inbox = cell.lock().expect("staging poisoned");
-            for OutMsg { arrive, arr } in inbox.drain(..) {
-                self.sd.ring[(arrive % RING as u64) as usize].push(arr);
-            }
-        }
-        for (cell, chunks) in self.sd.deferred.drain(..) {
-            self.router.credits[cell as usize].fetch_add(chunks, Relaxed);
-        }
-        self.perf_lap(&mut clk, |p| &mut p.phases.drain);
-    }
-
-    /// Assign final ids to this cycle's injections, in global injection
-    /// order: ids are dense and ascend with (cycle, shard, node,
-    /// injection order), exactly the sequence an unsharded phase 3
-    /// produces. The oracle learns of injections here — the earliest
-    /// point the final ids exist.
-    fn fixup_ids(&mut self) {
-        let mut b = self.next_id0;
-        for k in 0..self.si {
-            b += self.counts[k].load(Relaxed);
-        }
-        let mut injected = std::mem::take(&mut self.sd.injected);
-        for (j, &(i, f, pos)) in injected.iter().enumerate() {
-            let pkt = self.nodes[i as usize].inj[f as usize]
-                .get_mut(pos as usize)
-                .expect("injected this cycle, not yet arbitrated");
-            pkt.id = b + j as u64;
-            if let Some(o) = self.oracle.as_deref_mut() {
-                o.on_inject(pkt);
-            }
-        }
-        injected.clear();
-        self.sd.injected = injected; // hand the allocation back
+        self.perf_lap(&mut clk, |p| &mut p.drain);
     }
 
     // ---- Phase 1: arrivals -------------------------------------------------
 
     fn phase_arrivals(&mut self, t: u64) {
         let slot = (t % RING as u64) as usize;
-        let mut arrivals = std::mem::take(&mut self.sd.ring[slot]);
+        let mut arrivals = std::mem::take(&mut self.q.ring[slot]);
         for Arrival { node, port, pkt } in arrivals.drain(..) {
-            let i = node as usize - self.base;
+            let i = node as usize;
             let n = &mut self.nodes[i];
             let fi = vc_fifo_index(port as usize, pkt.vc.index());
             let was_empty = n.vcs[fi].is_empty();
@@ -531,37 +457,36 @@ impl Shard<'_> {
             // Space was spent from the credit cell at the upstream win.
             n.vcs[fi].push(pkt);
             n.vc_mask |= 1 << fi;
-            self.sd.arb_active.mark(i);
+            self.q.arb_active.mark(i);
             if was_empty && done {
-                self.sd.deliver_q.push((node, fi as u8));
+                self.q.deliver_q.push((node, fi as u8));
             }
-            self.cs.progress = true;
+            self.counts.last_progress = t;
         }
-        self.sd.ring[slot] = arrivals; // hand the allocation back
+        self.q.ring[slot] = arrivals; // hand the allocation back
     }
 
     // ---- Phase 2: deliveries ----------------------------------------------
 
-    fn phase_deliveries(&mut self, t: u64) {
-        if self.sd.deliver_q.is_empty() {
+    fn phase_deliveries(&mut self) {
+        if self.q.deliver_q.is_empty() {
             return;
         }
-        let mut dq = std::mem::take(&mut self.sd.deliver_q);
+        let mut dq = std::mem::take(&mut self.q.deliver_q);
         for (node, fi) in dq.drain(..) {
-            self.try_deliver(node as usize - self.base, fi as usize, t);
+            self.try_deliver(node as usize, fi as usize);
         }
         // Hand the allocation back. `try_deliver` parks stalled FIFOs in
         // the node's `blocked_deliveries` (re-queued here only after the
         // CPU frees reception space), so nothing lands in `deliver_q`
         // during the loop above.
-        debug_assert!(self.sd.deliver_q.is_empty());
-        self.sd.deliver_q = dq;
+        debug_assert!(self.q.deliver_q.is_empty());
+        self.q.deliver_q = dq;
     }
 
-    /// Move deliverable head packets of `fifo` into the reception FIFO.
-    /// `i` is shard-local.
-    fn try_deliver(&mut self, i: usize, fifo: usize, t: u64) {
-        let g = self.base + i;
+    /// Move deliverable head packets of `fifo` at node `i` into the
+    /// reception FIFO.
+    fn try_deliver(&mut self, i: usize, fifo: usize) {
         loop {
             let n = &mut self.nodes[i];
             let Some(head) = n.vcs[fifo].head() else {
@@ -572,7 +497,7 @@ impl Shard<'_> {
             }
             let chunks = head.chunks as u32;
             if n.reception.free_chunks() < chunks {
-                self.cs.reception_stalls += 1;
+                self.stats.reception_stall_events += 1;
                 if !n.blocked_deliveries.contains(&(fifo as u8)) {
                     n.blocked_deliveries.push(fifo as u8);
                 }
@@ -583,19 +508,16 @@ impl Shard<'_> {
                 n.vc_mask &= !(1 << fifo);
             }
             assert!(n.reception.try_push(pkt).is_ok(), "space checked");
-            // The pop freed downstream space: release the credit now —
-            // the upstream reads it only in section B, barrier-ordered
-            // after every shard's phase 2, matching the unsharded
-            // same-cycle visibility of a phase-2 pop.
-            self.router.credits[g * self.router.vc_cells + fifo].fetch_add(chunks, Relaxed);
-            self.sd.cpu_active.mark(i);
+            // The pop freed downstream space: release the credit now, so
+            // the upstream sees it in this cycle's phase 4.
+            self.router.release(i * self.router.vc_cells + fifo, chunks);
+            self.q.cpu_active.mark(i);
             if self.events.is_some() {
                 // The freed credit means the upstream neighbour may win
                 // this link again.
-                self.event_note_vc_pop(g, fifo);
+                self.event_note_vc_pop(i, fifo);
             }
-            self.cs.progress = true;
-            let _ = t;
+            self.counts.last_progress = self.now;
         }
     }
 
@@ -612,8 +534,8 @@ impl Shard<'_> {
             // (which marks it) or through its own hooks (it is being
             // visited), so iterating a snapshot of each word misses
             // nothing. Idle marked nodes are cleared as they are visited.
-            for w in 0..self.sd.cpu_active.words.len() {
-                let mut bits = self.sd.cpu_active.words[w];
+            for w in 0..self.q.cpu_active.words.len() {
+                let mut bits = self.q.cpu_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
@@ -625,8 +547,7 @@ impl Shard<'_> {
     }
 
     /// Run one node's CPU for cycle `t` if it has work; with `prune`,
-    /// drop provably workless nodes from the active set. `i` is
-    /// shard-local.
+    /// drop provably workless nodes from the active set.
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
         let horizon = (t + 1) as f64;
         {
@@ -643,7 +564,7 @@ impl Shard<'_> {
                 if prune {
                     // Only a delivery can give this node CPU work again,
                     // and deliveries re-mark it.
-                    self.sd.cpu_active.clear(i);
+                    self.q.cpu_active.clear(i);
                 }
                 return;
             }
@@ -652,13 +573,12 @@ impl Shard<'_> {
     }
 
     fn cpu_node(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let g = self.base + i;
         let horizon = (t + 1) as f64;
         let mut declined = false;
         if let Some(ev) = self.events.as_deref_mut() {
             // Re-derive this node's sleep hints from scratch: the branches
             // below overwrite the defaults with whatever actually blocked.
-            ev.nodes[g] = NodeEvent::default();
+            ev.nodes[i] = NodeEvent::default();
         }
         for _guard in 0..64 {
             if self.nodes[i].cpu_free >= horizon {
@@ -680,24 +600,24 @@ impl Shard<'_> {
                     // completion check still runs, exactly as if the
                     // program had declined the pull itself.
                     declined = true;
-                    self.cs.pacing += 1;
+                    self.stats.pacing_blocked_cycles += 1;
                     if let Some(ev) = self.events.as_deref_mut() {
-                        ev.nodes[g].poll = PollState::Rate;
+                        ev.nodes[i].poll = PollState::Rate;
                     }
                     if prog.is_complete() && !self.nodes[i].program_done {
                         self.nodes[i].program_done = true;
-                        self.cs.done += 1;
+                        self.counts.done_programs += 1;
                     }
                 } else {
                     let node = &mut self.nodes[i];
                     let before = node.pending.len();
                     let mut api =
-                        NodeApi::new(g as u32, node.coord, t, self.part, &mut node.pending)
+                        NodeApi::new(i as u32, node.coord, t, self.part, &mut node.pending)
                             .with_flow(&mut node.flow);
                     let spec = prog.next_send(&mut api);
                     let extra = api.take_extra_cpu();
                     let denials = api.take_credit_blocked();
-                    self.cs.credit_blocked += denials;
+                    self.stats.credit_blocked_events += denials;
                     let after = node.pending.len();
                     if extra > 0.0 {
                         // Anchor at now: a node idle since an earlier cycle
@@ -706,12 +626,12 @@ impl Shard<'_> {
                         node.cpu_free = node.cpu_free.max(t as f64) + extra;
                         node.cpu_busy += extra;
                     }
-                    self.cs.pending += (after - before) as i64;
+                    self.counts.pending_total += (after - before) as u64;
                     match spec {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
                             self.nodes[i].pulled.push_back(s);
-                            self.cs.pending += 1;
+                            self.counts.pending_total += 1;
                         }
                         None => {
                             declined = true;
@@ -724,12 +644,12 @@ impl Shard<'_> {
                                         extra == 0.0 && after == before,
                                         "SleepUntilDelivery program mutated state on decline"
                                     );
-                                    ev.nodes[g].poll = PollState::Asleep { denials };
+                                    ev.nodes[i].poll = PollState::Asleep { denials };
                                 }
                             }
                             if prog.is_complete() && !self.nodes[i].program_done {
                                 self.nodes[i].program_done = true;
-                                self.cs.done += 1;
+                                self.counts.done_programs += 1;
                             }
                         }
                     }
@@ -742,7 +662,7 @@ impl Shard<'_> {
                 if let Some(ev) = self.events.as_deref_mut() {
                     // Every queued packet is stuck on injection-FIFO space;
                     // only an arbitration win here can free some.
-                    ev.nodes[g].inject_blocked = true;
+                    ev.nodes[i].inject_blocked = true;
                 }
                 break; // no injection FIFO can take any queued packet now
             }
@@ -750,13 +670,13 @@ impl Shard<'_> {
     }
 
     /// Whether the engine-level rate window ([`FlowSpec::Rate`]) blocks
-    /// pulling new sends from local node `i`'s program at cycle `t`.
+    /// pulling new sends from node `i`'s program at cycle `t`.
     fn rate_blocked(&self, i: usize, t: u64) -> bool {
         matches!(self.router.cfg.flow, FlowSpec::Rate { .. })
             && (t as f64) < self.nodes[i].flow.next_allowed
     }
 
-    /// Advance local node `i`'s rate window after pulling a `chunks`-chunk
+    /// Advance node `i`'s rate window after pulling a `chunks`-chunk
     /// send at cycle `t`. No-op unless the flow spec is [`FlowSpec::Rate`].
     fn rate_charge(&mut self, i: usize, t: u64, chunks: u8) {
         if let FlowSpec::Rate { chunks_per_cycle } = self.router.cfg.flow {
@@ -768,55 +688,53 @@ impl Shard<'_> {
 
     /// Drain one packet from the reception FIFO and run `on_packet`.
     fn cpu_drain_one(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let g = self.base + i;
         let cpu = &self.router.cfg.cpu;
         let node = &mut self.nodes[i];
         let pkt = node.reception.pop().expect("checked non-empty");
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        self.cs.delivered += 1;
-        self.cs.payload += pkt.payload_bytes as u64;
+        let st = &mut *self.stats;
+        st.packets_delivered += 1;
+        st.payload_bytes_delivered += pkt.payload_bytes as u64;
+        st.completion_cycle = t;
         let latency = t - pkt.injected_at;
-        self.cs.latency_sum += latency;
-        self.cs.latency_max = self.cs.latency_max.max(latency);
+        st.total_latency_cycles += latency;
+        st.max_latency_cycles = st.max_latency_cycles.max(latency);
         let bucket = (64 - latency.max(1).leading_zeros() as usize - 1)
             .min(crate::stats::LATENCY_BUCKETS - 1);
-        self.cs.hist[bucket] += 1;
+        st.latency_histogram[bucket] += 1;
         if let Some(o) = self.oracle.as_deref_mut() {
             o.on_deliver(&pkt, t);
         }
         let node = &mut self.nodes[i];
         let before = node.pending.len();
-        let mut api = NodeApi::new(g as u32, node.coord, t, self.part, &mut node.pending)
+        let mut api = NodeApi::new(i as u32, node.coord, t, self.part, &mut node.pending)
             .with_flow(&mut node.flow);
         prog.on_packet(&mut api, &pkt);
         let extra = api.take_extra_cpu();
-        self.cs.credit_blocked += api.take_credit_blocked();
+        self.stats.credit_blocked_events += api.take_credit_blocked();
         let after = node.pending.len();
         node.cpu_free += extra;
         node.cpu_busy += extra;
-        self.cs.pending += (after - before) as i64;
-        self.cs.live -= 1;
+        self.counts.pending_total += (after - before) as u64;
+        self.counts.live_packets -= 1;
         if !node.program_done && prog.is_complete() {
             node.program_done = true;
-            self.cs.done += 1;
+            self.counts.done_programs += 1;
         }
         // Freed reception space: retry stalled deliveries.
         let blocked = std::mem::take(&mut self.nodes[i].blocked_deliveries);
-        self.sd
+        self.q
             .deliver_q
-            .extend(blocked.into_iter().map(|f| (g as u32, f)));
-        self.cs.progress = true;
+            .extend(blocked.into_iter().map(|f| (i as u32, f)));
+        self.counts.last_progress = t;
     }
 
     /// Pay for and inject the first injectable pending send. Returns false
     /// if no injection FIFO currently accepts any of the first
-    /// [`INJECT_SCAN`] pending packets. The packet id written here is
-    /// *provisional* (this cycle's shard-local injection index); the
-    /// section-B fix-up rewrites it before anything reads it.
+    /// [`INJECT_SCAN`] pending packets.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
-        let g = self.base + i;
         let nfifos = self.nodes[i].inj.len();
         let mut chosen = None;
         let reactive_len = self.nodes[i].pending.len().min(INJECT_SCAN);
@@ -873,7 +791,7 @@ impl Shard<'_> {
                 .remove(qi - reactive_len)
                 .expect("scanned index exists")
         };
-        self.cs.pending -= 1;
+        self.counts.pending_total -= 1;
         let cpu = &self.router.cfg.cpu;
         let cost = spec.cpu_cost_cycles
             + cpu.per_packet_inject_cycles
@@ -883,11 +801,8 @@ impl Shard<'_> {
         let dst = self.part.coord_of(spec.dst_rank);
         assert_ne!(dst, node.coord, "programs must not send to themselves");
         let pkt = Packet {
-            // Provisional: shard-local injection index of this cycle,
-            // rewritten to the dense global id by `fixup_ids` before
-            // phase 4 (the first reader) runs.
-            id: self.sd.injected.len() as u64,
-            src_rank: g as u32,
+            id: self.counts.next_packet_id,
+            src_rank: i as u32,
             dst,
             chunks: spec.chunks,
             payload_bytes: spec.payload_bytes,
@@ -901,14 +816,16 @@ impl Shard<'_> {
             injected_at: t,
             detour: NO_DETOUR,
         };
+        if let Some(o) = self.oracle.as_deref_mut() {
+            o.on_inject(&pkt);
+        }
         assert!(node.inj[f].try_push(pkt).is_ok(), "space checked");
-        let pos = node.inj[f].len() - 1;
-        self.sd.injected.push((i as u32, f as u8, pos as u16));
         node.inj_mask |= 1 << f;
-        self.sd.arb_active.mark(i);
-        self.cs.live += 1;
-        self.cs.injected += 1;
-        self.cs.progress = true;
+        self.q.arb_active.mark(i);
+        self.counts.next_packet_id += 1;
+        self.counts.live_packets += 1;
+        self.stats.packets_injected += 1;
+        self.counts.last_progress = t;
         true
     }
 
@@ -927,15 +844,15 @@ impl Shard<'_> {
             // A node acquires arbitration work only through an arrival
             // commit (which marks it) or its own injections (phase 3
             // marks it), never from another node's arbitration — wins
-            // hand packets to the staged outboxes, not directly to the
+            // hand packets to the in-flight ring, not directly to the
             // neighbour's FIFOs — so a snapshot scan misses nothing.
-            for w in 0..self.sd.arb_active.words.len() {
-                let mut bits = self.sd.arb_active.words[w];
+            for w in 0..self.q.arb_active.words.len() {
+                let mut bits = self.q.arb_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     if self.nodes[i].vc_mask == 0 && self.nodes[i].inj_mask == 0 {
-                        self.sd.arb_active.clear(i);
+                        self.q.arb_active.clear(i);
                         continue;
                     }
                     self.arbitrate_node(i, t, true);
@@ -944,7 +861,7 @@ impl Shard<'_> {
         }
     }
 
-    /// Arbitrate every output link of local node `i`. With `use_summary`,
+    /// Arbitrate every output link of node `i`. With `use_summary`,
     /// probe only the directions some queued head actually wants (a
     /// per-direction bit summary built from the FIFO heads, extended when
     /// a win exposes a new head) instead of scanning all FIFOs per link. The summary is
@@ -954,7 +871,6 @@ impl Shard<'_> {
     /// nothing. Nodes with many occupied FIFOs skip it entirely (see
     /// [`SUMMARY_MAX_HEADS`]).
     fn arbitrate_node(&mut self, i: usize, t: u64, use_summary: bool) {
-        let g = self.base + i;
         let use_summary = use_summary && {
             let node = &self.nodes[i];
             node.vc_mask.count_ones() + node.inj_mask.count_ones() <= SUMMARY_MAX_HEADS
@@ -975,12 +891,12 @@ impl Shard<'_> {
             if self.link_busy_until[link] > t {
                 continue;
             }
-            let nb = self.router.neighbors[g][d.index()];
+            let nb = self.router.neighbors[i][d.index()];
             if nb == u32::MAX {
                 continue;
             }
             // A dead output link refuses arbitration outright.
-            if !self.router.alive(g, d) {
+            if !self.router.alive(i, d) {
                 continue;
             }
             let s = match summary {
@@ -1011,7 +927,7 @@ impl Shard<'_> {
         }
     }
 
-    /// Pick a winner for output `d` of local node `i`, or `None`.
+    /// Pick a winner for output `d` of node `i`, or `None`.
     fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
         let inject_first = !self.router.cfg.router.transit_priority && (t & 1) == 1;
         if inject_first {
@@ -1033,7 +949,6 @@ impl Shard<'_> {
         if node.vc_mask == 0 {
             return None;
         }
-        let g = self.base + i;
         let total = self.router.vc_cells;
         let start = node.rr[d.index()] as usize % total;
         // Visit only the set bits, in round-robin order from `start`:
@@ -1045,18 +960,18 @@ impl Shard<'_> {
                 half &= half - 1;
                 let pkt = node.vcs[f].head().expect("mask says non-empty");
                 if self.router.wants(pkt, d) {
-                    if self.router.suppress_return(pkt, g, d) {
+                    if self.router.suppress_return(pkt, i, d) {
                         continue;
                     }
                     let from_dim = Some(f / NUM_VCS / 2); // port index / 2 = dimension
-                    if let Some(vc) = self.router.feasible_vc(pkt, g, from_dim, d, nb) {
+                    if let Some(vc) = self.router.feasible_vc(pkt, i, from_dim, d, nb) {
                         return Some(Win {
                             source: WinSource::Transit { fifo: f as u8 },
                             vc,
                             detour: false,
                         });
                     }
-                } else if let Some(vc) = self.router.detour_vc(pkt, g, d, nb) {
+                } else if let Some(vc) = self.router.detour_vc(pkt, i, d, nb) {
                     return Some(Win {
                         source: WinSource::Transit { fifo: f as u8 },
                         vc,
@@ -1070,24 +985,23 @@ impl Shard<'_> {
 
     fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
         let node = &self.nodes[i];
-        let g = self.base + i;
         let mut mask = node.inj_mask;
         while mask != 0 {
             let f = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let pkt = node.inj[f].head().expect("mask says non-empty");
             if self.router.wants(pkt, d) {
-                if self.router.suppress_return(pkt, g, d) {
+                if self.router.suppress_return(pkt, i, d) {
                     continue;
                 }
-                if let Some(vc) = self.router.feasible_vc(pkt, g, None, d, nb) {
+                if let Some(vc) = self.router.feasible_vc(pkt, i, None, d, nb) {
                     return Some(Win {
                         source: WinSource::Inject { fifo: f as u8 },
                         vc,
                         detour: false,
                     });
                 }
-            } else if let Some(vc) = self.router.detour_vc(pkt, g, d, nb) {
+            } else if let Some(vc) = self.router.detour_vc(pkt, i, d, nb) {
                 return Some(Win {
                     source: WinSource::Inject { fifo: f as u8 },
                     vc,
@@ -1099,7 +1013,6 @@ impl Shard<'_> {
     }
 
     fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) {
-        let g = self.base + i;
         // Pop the winner from its source FIFO.
         let mut pkt = match win.source {
             WinSource::Transit { fifo } => {
@@ -1110,15 +1023,14 @@ impl Shard<'_> {
                 if node.vcs[f].is_empty() {
                     node.vc_mask &= !(1 << f);
                 } else if node.vcs[f].head().expect("non-empty").plan.is_done() {
-                    self.sd.deliver_q.push((g as u32, fifo));
+                    self.q.deliver_q.push((i as u32, fifo));
                 }
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
-                // a credit snapshot independent of node visit order, the
-                // invariant that makes sharded cycles byte-identical.
-                self.sd
+                // a credit snapshot independent of node visit order.
+                self.q
                     .deferred
-                    .push(((g * self.router.vc_cells + f) as u32, pkt.chunks as u32));
+                    .push(((i * self.router.vc_cells + f) as u32, pkt.chunks as u32));
                 pkt
             }
             WinSource::Inject { fifo } => {
@@ -1135,8 +1047,8 @@ impl Shard<'_> {
         let chunks = pkt.chunks as u32;
         let cell = &self.router.credits
             [nb * self.router.vc_cells + vc_fifo_index(nb_port, win.vc.index())];
-        debug_assert!(cell.load(Relaxed) >= chunks, "feasible_vc checked credit");
-        cell.fetch_sub(chunks, Relaxed);
+        debug_assert!(cell.get() >= chunks, "feasible_vc checked credit");
+        cell.set(cell.get() - chunks);
         pkt.vc = win.vc;
         if win.detour {
             // Non-minimal fault sidestep: re-plan the whole route from the
@@ -1162,35 +1074,36 @@ impl Shard<'_> {
             o.on_hop(pkt.id, t);
         }
         if self.events.is_some() {
-            self.event_note_win(g, nb, win);
+            self.event_note_win(i, nb, win);
         }
         let arrive = t + chunks as u64 + self.router.cfg.router.hop_latency_cycles as u64;
-        self.sd.outbox[self.shard_of[nb] as usize].push(OutMsg {
-            arrive,
-            arr: Arrival {
-                node: nb as u32,
-                port: nb_port as u8,
-                pkt,
-            },
+        // `arrive` lies 1..RING cycles ahead, so this never lands in the
+        // slot phase 1 drained this cycle.
+        self.q.ring[(arrive % RING as u64) as usize].push(Arrival {
+            node: nb as u32,
+            port: nb_port as u8,
+            pkt,
         });
         let ports = self.router.ports;
         self.link_busy_until[i * ports + d.index()] = t + chunks as u64;
         let di = d.dim.index();
-        self.cs.link_busy[di] += chunks as u64;
-        if !self.link_stats.is_empty() {
-            self.link_stats[i * ports + d.index()] += chunks as u64;
+        let st = &mut *self.stats;
+        st.link_busy_chunks[di] += chunks as u64;
+        // Empty when detailed link stats are off.
+        if !st.link_busy_per_link.is_empty() {
+            st.link_busy_per_link[i * ports + d.index()] += chunks as u64;
         }
-        self.cs.hops[di] += 1;
+        st.hops_taken[di] += 1;
         match win.vc {
-            Vc::Bubble => self.cs.bubble += 1,
-            _ => self.cs.dynamic += 1,
+            Vc::Bubble => st.bubble_hops += 1,
+            _ => st.dynamic_hops += 1,
         }
-        self.cs.progress = true;
+        self.counts.last_progress = t;
     }
 
     // ---- Event-mode bookkeeping hooks -------------------------------------
 
-    /// Note an arbitration win out of global node `g` toward `nb` (event
+    /// Note an arbitration win out of node `g` toward `nb` (event
     /// mode): the pop changed `g`'s own head lineup mid-visit (directions
     /// the per-visit summary already passed must be retried next cycle), a
     /// transit pop freed upstream credit, an injection pop freed local
@@ -1219,7 +1132,7 @@ impl Shard<'_> {
         }
     }
 
-    /// Note a delivery pop out of transit FIFO `fifo` at global node `g`
+    /// Note a delivery pop out of transit FIFO `fifo` at node `g`
     /// (event mode): the freed space is new credit for the upstream
     /// neighbour on that port.
     fn event_note_vc_pop(&mut self, g: usize, fifo: usize) {

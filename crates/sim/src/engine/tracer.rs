@@ -105,8 +105,7 @@ impl Engine {
             return;
         }
         // Fold the per-node CPU ledgers into `stats.cpu_busy_cycles` so
-        // the sampled delta is exact (the fold order is fixed ascending,
-        // independent of sharding).
+        // the sampled delta is exact (the fold order is fixed ascending).
         self.sync_cpu_busy();
         let Some(mut tracer) = self.tracer.take() else {
             return;
@@ -141,8 +140,8 @@ impl Engine {
             delivered_delta: s.packets_delivered - tracer.last_delivered,
             pacing_blocked_delta: s.pacing_blocked_cycles - tracer.last_pacing_blocked,
             credit_blocked_delta: s.credit_blocked_events - tracer.last_credit_blocked,
-            packets_in_flight: self.live_packets,
-            pending_sends: self.pending_total,
+            packets_in_flight: self.counts.live_packets,
+            pending_sends: self.counts.pending_total,
             ..TraceSample::default()
         };
         tracer.last_link_busy = s.link_busy_chunks.clone();
@@ -237,11 +236,9 @@ impl Engine {
                 }
             }
         }
-        for sd in &self.shards {
-            for slot in &sd.ring {
-                for arrival in slot {
-                    count_kind(arrival.pkt.meta.kind);
-                }
+        for slot in &self.queues.ring {
+            for arrival in slot {
+                count_kind(arrival.pkt.meta.kind);
             }
         }
         sample.phase1_in_flight = p1;

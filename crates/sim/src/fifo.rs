@@ -4,10 +4,9 @@
 //! chunks, not packets, matching the byte-granular BG/L buffers. The FIFO
 //! itself tracks only *physical* occupancy; in-flight credit for the
 //! transit VC FIFOs (space spent by an upstream arbitration win before the
-//! packet physically arrives) lives in the engine's shared credit array
-//! (see `engine`), which is what makes the sharded engine's credit
-//! accounting a single source of truth for sequential and parallel
-//! execution alike. Injection and reception FIFOs are only ever probed by
+//! packet physically arrives) lives in the engine's credit array (see
+//! `engine`), the single source of truth for downstream space.
+//! Injection and reception FIFOs are only ever probed by
 //! their own node, so plain occupancy-based `free_chunks`/`try_push`
 //! remain the right interface for them.
 
@@ -103,14 +102,6 @@ impl ChunkFifo {
         self.queue.front_mut()
     }
 
-    /// Mutable access to the packet at queue position `idx` (head = 0).
-    /// The sharded engine uses this to rewrite provisional packet ids in
-    /// place during the per-cycle id fix-up.
-    #[inline]
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut Packet> {
-        self.queue.get_mut(idx)
-    }
-
     /// Remove and return the head packet, freeing its chunks.
     pub fn pop(&mut self) -> Option<Packet> {
         let pkt = self.queue.pop_front()?;
@@ -189,18 +180,6 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert_eq!(f.pop().unwrap().id, 1);
         assert_eq!(f.occupied_chunks(), 8);
-    }
-
-    #[test]
-    fn get_mut_rewrites_in_place() {
-        let mut f = ChunkFifo::new(32);
-        for i in 0..3 {
-            f.try_push(pkt(i, 2)).unwrap();
-        }
-        f.get_mut(1).unwrap().id = 42;
-        assert!(f.get_mut(3).is_none());
-        f.pop();
-        assert_eq!(f.head().unwrap().id, 42);
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub struct NodeState {
     /// Total CPU-cycles this node has been charged so far. Kept per node
     /// (not accumulated straight into `NetStats`) so the global
     /// `cpu_busy_cycles` float is always the ascending-node-order fold of
-    /// these values — an order that does not depend on how the torus is
-    /// sharded, keeping the statistic byte-identical for any shard count.
+    /// these values — one fixed summation order, so the statistic is
+    /// byte-identical in every engine mode.
     pub cpu_busy: f64,
     /// Round-robin arbitration pointers, one per output direction (only the
     /// first `2n` entries are used).

@@ -1,31 +1,25 @@
 //! Host-side performance profiling: where *wall-clock* time goes inside
 //! the engine, as opposed to [`crate::trace`], which records *simulated*
 //! time. A [`Trace`](crate::Trace) answers "at which cycle did the Y
-//! FIFOs fill up?"; a [`PerfProfile`] answers "which engine phase, shard
-//! or skip decision did the host spend its seconds on?".
+//! FIFOs fill up?"; a [`PerfProfile`] answers "which engine phase or skip
+//! decision did the host spend its seconds on?".
 //!
 //! Enable collection by setting [`SimConfig::perf`](crate::SimConfig::perf)
 //! to a [`PerfConfig`]; retrieve the profile after the run via
 //! [`Engine::take_perf`](crate::Engine::take_perf). The collector records:
 //!
 //! * per-phase wall-clock time for every engine phase (arrivals,
-//!   deliveries, CPU, packet-id fix-up, arbitration, staged-arrival
-//!   drain), accumulated per shard;
-//! * per-shard section timing with barrier-wait attribution for threaded
-//!   cycles — the numbers that finally measure the multi-core scaling
-//!   story of `SimConfig::shards`;
+//!   deliveries, CPU, arbitration, boundary drain);
 //! * event-engine counters: a power-of-two skip-length histogram, the
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
 //!   credit sleeper, link busy, watchdog/cycle-limit clamps) and
 //!   fresh-activity suppressions;
-//! * active-set occupancy and the per-cycle `cycle_is_wide`
-//!   spawn-vs-inline decisions.
+//! * active-set occupancy.
 //!
 //! Collection is purely observational: the profiler reads the host clock
 //! and its own counters, never simulation state, so `NetStats`, traces
 //! and error cycles are byte-identical with profiling on or off in every
-//! engine mode and at every shard count (pinned by the engine
-//! equivalence tests). Disabled, it costs one predictable branch beside
+//! engine mode (pinned by the engine equivalence tests). Disabled, it costs one predictable branch beside
 //! the tracer's. Wall-clock fields are host-dependent by nature and are
 //! excluded from golden fingerprints and run-cache identity.
 
@@ -62,10 +56,7 @@ impl Default for ProgressConfig {
 }
 
 /// Wall-clock seconds spent in each engine phase (see the phase walk in
-/// `crates/sim/src/engine/phases.rs`). Section A of a cycle is
-/// `arrivals + deliveries + cpu`, section B is `id_fixup + arbitration`,
-/// section C is `drain`, so the six slots also reconstruct the
-/// per-section split exactly.
+/// `crates/sim/src/engine/phases.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseSecs {
     /// Phase 1: committing in-flight ring arrivals into VC FIFOs.
@@ -74,12 +65,13 @@ pub struct PhaseSecs {
     pub deliveries: f64,
     /// Phase 3: reception drains, program pulls and injections.
     pub cpu: f64,
-    /// Section-B packet-id fix-up (prefix sum + provisional-id rewrite).
+    /// Always 0: packet ids are final at injection. The slot stays so the
+    /// six-phase report and wire format keep their shape.
     pub id_fixup: f64,
-    /// Phase 4: output-link arbitration, including the staging-mailbox
-    /// hand-off at the end of section B.
+    /// Phase 4: output-link arbitration, launching wins into the
+    /// in-flight ring.
     pub arbitration: f64,
-    /// Section C: staged-arrival inbox drain + deferred credit releases.
+    /// The cycle-boundary drain: deferred credit releases.
     pub drain: f64,
 }
 
@@ -109,33 +101,6 @@ impl PhaseSecs {
             ("arbitration", self.arbitration),
             ("drain", self.drain),
         ]
-    }
-}
-
-/// One shard's wall-clock account: phase time plus, for threaded cycles,
-/// the time the shard's thread spent parked at the two per-cycle
-/// barriers. High `barrier_wait` relative to `busy` on one shard means
-/// the others are the bottleneck — the load-imbalance signal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ShardPerf {
-    /// Phase-attributed busy time of this shard.
-    pub phases: PhaseSecs,
-    /// Seconds parked at the section A→B barrier (threaded cycles only;
-    /// inline cycles have no barrier).
-    pub barrier_a_wait_secs: f64,
-    /// Seconds parked at the section B→C barrier.
-    pub barrier_b_wait_secs: f64,
-}
-
-impl ShardPerf {
-    /// Total busy (non-waiting) seconds of this shard.
-    pub fn busy_secs(&self) -> f64 {
-        self.phases.total()
-    }
-
-    /// Total barrier-wait seconds of this shard.
-    pub fn barrier_wait_secs(&self) -> f64 {
-        self.barrier_a_wait_secs + self.barrier_b_wait_secs
     }
 }
 
@@ -210,42 +175,28 @@ pub struct PerfProfile {
     /// Cycles actually stepped through the four phases. Equals the final
     /// cycle count except in event mode, where skipped cycles are absent.
     pub stepped_cycles: u64,
-    /// Stepped cycles that ran threaded (`cycle_is_wide` said the
-    /// active-set estimate justified spawning shard threads).
-    pub wide_cycles: u64,
-    /// Stepped cycles that ran inline on the caller's thread.
-    pub inline_cycles: u64,
-    /// Mean marked active-set population (CPU + arbitration sets, all
-    /// shards) over the stepped cycles — the quantity `cycle_is_wide`
-    /// estimates from.
+    /// Mean marked active-set population (CPU + arbitration sets) over
+    /// the stepped cycles.
     pub active_occupancy_mean: f64,
     /// Largest marked active-set population seen in any stepped cycle.
     pub active_occupancy_max: u64,
-    /// One record per shard (a single entry when sharding is off).
-    pub shards: Vec<ShardPerf>,
+    /// Wall-clock seconds per engine phase.
+    pub phases: PhaseSecs,
     /// Event-engine counters; `None` unless the run used
     /// [`EngineMode::EventDriven`](crate::EngineMode).
     pub event: Option<EventPerf>,
 }
 
 impl PerfProfile {
-    /// Phase times summed over every shard.
+    /// Wall-clock seconds per engine phase.
     pub fn phase_totals(&self) -> PhaseSecs {
-        let mut t = PhaseSecs::default();
-        for s in &self.shards {
-            t.add(&s.phases);
-        }
-        t
+        self.phases
     }
 
-    /// Total phase-attributed busy seconds across all shards.
-    pub fn busy_secs(&self) -> f64 {
-        self.shards.iter().map(ShardPerf::busy_secs).sum()
-    }
-
-    /// Total barrier-wait seconds across all shards.
+    /// Seconds spent waiting at inter-thread barriers: always 0.0, since
+    /// the engine runs every cycle on the caller's thread.
     pub fn barrier_wait_secs(&self) -> f64 {
-        self.shards.iter().map(ShardPerf::barrier_wait_secs).sum()
+        0.0
     }
 
     /// Cycles skipped by the event engine (0 outside event mode).
@@ -253,31 +204,10 @@ impl PerfProfile {
         self.event.as_ref().map_or(0, |e| e.skipped_cycles)
     }
 
-    /// Load-imbalance ratio: the busiest shard's phase time over the
-    /// mean shard phase time. 1.0 means perfectly balanced (and is also
-    /// returned for the degenerate no-work cases).
-    pub fn shard_imbalance(&self) -> f64 {
-        let n = self.shards.len();
-        if n == 0 {
-            return 1.0;
-        }
-        let busiest = self
-            .shards
-            .iter()
-            .map(ShardPerf::busy_secs)
-            .fold(0.0f64, f64::max);
-        let mean = self.busy_secs() / n as f64;
-        if mean > 0.0 {
-            busiest / mean
-        } else {
-            1.0
-        }
-    }
-
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
-    /// run totals, per-phase totals, per-shard busy/barrier splits, and
-    /// the event counters + skip histogram when present.
+    /// run totals, per-phase totals, and the event counters + skip
+    /// histogram when present.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let mut row = |metric: String, value: String| {
@@ -286,8 +216,6 @@ impl PerfProfile {
         row("metric".into(), "value".into());
         row("total_secs".into(), self.total_secs.to_string());
         row("stepped_cycles".into(), self.stepped_cycles.to_string());
-        row("wide_cycles".into(), self.wide_cycles.to_string());
-        row("inline_cycles".into(), self.inline_cycles.to_string());
         row(
             "active_occupancy_mean".into(),
             self.active_occupancy_mean.to_string(),
@@ -296,19 +224,8 @@ impl PerfProfile {
             "active_occupancy_max".into(),
             self.active_occupancy_max.to_string(),
         );
-        for (label, secs) in self.phase_totals().named() {
+        for (label, secs) in self.phases.named() {
             row(format!("phase_{label}_secs"), secs.to_string());
-        }
-        for (i, s) in self.shards.iter().enumerate() {
-            row(format!("shard{i}_busy_secs"), s.busy_secs().to_string());
-            row(
-                format!("shard{i}_barrier_a_wait_secs"),
-                s.barrier_a_wait_secs.to_string(),
-            );
-            row(
-                format!("shard{i}_barrier_b_wait_secs"),
-                s.barrier_b_wait_secs.to_string(),
-            );
         }
         if let Some(ev) = &self.event {
             row("skipped_cycles".into(), ev.skipped_cycles.to_string());
@@ -332,14 +249,11 @@ impl PerfProfile {
 mod tests {
     use super::*;
 
-    fn shard(busy: f64) -> ShardPerf {
-        ShardPerf {
-            phases: PhaseSecs {
-                cpu: busy * 0.5,
-                arbitration: busy * 0.5,
-                ..PhaseSecs::default()
-            },
-            ..ShardPerf::default()
+    fn phases(busy: f64) -> PhaseSecs {
+        PhaseSecs {
+            cpu: busy * 0.5,
+            arbitration: busy * 0.5,
+            ..PhaseSecs::default()
         }
     }
 
@@ -364,32 +278,17 @@ mod tests {
     }
 
     #[test]
-    fn phase_totals_sum_shards() {
-        let p = PerfProfile {
-            shards: vec![shard(1.0), shard(3.0)],
-            ..PerfProfile::default()
-        };
-        let t = p.phase_totals();
+    fn phase_secs_sum_and_accumulate() {
+        let mut t = phases(1.0);
+        t.add(&phases(3.0));
         assert!((t.cpu - 2.0).abs() < 1e-12);
         assert!((t.total() - 4.0).abs() < 1e-12);
-        assert!((p.busy_secs() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean() {
         let p = PerfProfile {
-            shards: vec![shard(1.0), shard(3.0)],
+            phases: t,
             ..PerfProfile::default()
         };
-        // Mean busy 2.0, busiest 3.0.
-        assert!((p.shard_imbalance() - 1.5).abs() < 1e-12);
-        // Degenerate cases report balance.
-        assert_eq!(PerfProfile::default().shard_imbalance(), 1.0);
-        let idle = PerfProfile {
-            shards: vec![ShardPerf::default(); 4],
-            ..PerfProfile::default()
-        };
-        assert_eq!(idle.shard_imbalance(), 1.0);
+        assert_eq!(p.phase_totals(), t);
+        assert_eq!(p.barrier_wait_secs(), 0.0);
     }
 
     #[test]
@@ -397,7 +296,7 @@ mod tests {
         let p = PerfProfile {
             total_secs: 0.5,
             stepped_cycles: 100,
-            shards: vec![shard(0.25)],
+            phases: phases(0.25),
             event: Some(EventPerf::default()),
             ..PerfProfile::default()
         };
@@ -409,7 +308,6 @@ mod tests {
         }
         assert!(rows.iter().any(|r| r[0] == "total_secs" && r[1] == "0.5"));
         assert!(rows.iter().any(|r| r[0] == "phase_cpu_secs"));
-        assert!(rows.iter().any(|r| r[0] == "shard0_busy_secs"));
         assert!(rows.iter().any(|r| r[0] == "wake_rate_window"));
         assert!(rows.iter().any(|r| r[0] == "skip_len_2e0"));
         // No quoting ever triggers: metrics and numbers are comma-free.
@@ -424,11 +322,9 @@ mod tests {
         let p = PerfProfile {
             total_secs: 1.25,
             stepped_cycles: 10,
-            wide_cycles: 4,
-            inline_cycles: 6,
             active_occupancy_mean: 3.5,
             active_occupancy_max: 9,
-            shards: vec![shard(0.5), shard(0.75)],
+            phases: phases(0.5),
             event: Some(ev),
         };
         let json = serde_json::to_string(&p).unwrap();

@@ -7,7 +7,6 @@ use bgl_sim::{
     Engine, EngineMode, NetStats, NodeProgram, PerfConfig, ScriptedProgram, SendSpec, SimConfig,
 };
 use bgl_torus::Partition;
-use std::num::NonZeroUsize;
 
 fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box<dyn NodeProgram>> {
     let p = part.num_nodes();
@@ -105,73 +104,29 @@ fn sparse_point_traffic_matches_across_modes() {
     );
 }
 
-/// Pinned shard-count grid: the same workloads under every engine mode ×
-/// shard count in {1, 2, 4, 7} (even splits and a prime that leaves
-/// uneven slabs) must produce one byte-identical `NetStats`. This is the
-/// committed regression for the sharded engine's ordering guarantees —
-/// staged-arrival drain order, the section-B id fix-up, deferred credit
-/// releases — independent of the randomized fuzzer.
-#[test]
-fn shard_counts_are_invisible() {
-    let grid: [(&str, u64, u8, bool); 3] = [
-        ("8x4x4", 2, 8, false), // asymmetric, saturating, adaptive
-        ("4x4x4", 1, 4, true),  // symmetric, deterministic (bubble VC)
-        ("4x3x2", 1, 2, false), // odd shape: 7 shards > 24/7 nodes each
-    ];
-    for (shape, k, chunks, det) in grid {
-        let part: Partition = shape.parse().unwrap();
-        let mut reference: Option<NetStats> = None;
-        for shards in [1usize, 2, 4, 7] {
-            for mode in EngineMode::ALL {
-                let mut cfg = SimConfig::new(part);
-                cfg.engine = mode;
-                cfg.shards = NonZeroUsize::new(shards).unwrap();
-                cfg.detailed_link_stats = true;
-                let stats = Engine::new(cfg, uniform(&part, k, chunks, det))
-                    .run()
-                    .unwrap_or_else(|e| panic!("{shape} shards={shards} {mode}: {e}"));
-                match &reference {
-                    None => reference = Some(stats),
-                    Some(r) => {
-                        assert_eq!(&stats, r, "{shape} shards={shards} {mode} must match");
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The invariant oracle must hold on a sharded engine too (it forces the
-/// sharded structure onto one thread and additionally checks per-cell
+/// The invariant oracle must hold (it additionally checks per-cell
 /// credit conservation every cycle), and its presence must not change
 /// results.
 #[test]
-fn sharded_run_passes_the_oracle() {
+fn oracle_run_matches_unchecked_run() {
     let part: Partition = "8x4x4".parse().unwrap();
-    let mut reference: Option<NetStats> = None;
-    for (shards, check) in [(1, false), (1, true), (4, true), (7, true)] {
+    let run = |check: bool| {
         let mut cfg = SimConfig::new(part);
-        cfg.shards = NonZeroUsize::new(shards).unwrap();
         cfg.check_invariants = check;
-        let stats = Engine::new(cfg, uniform(&part, 2, 8, false))
+        Engine::new(cfg, uniform(&part, 2, 8, false))
             .run()
-            .unwrap_or_else(|e| panic!("shards={shards} oracle={check}: {e}"));
-        match &reference {
-            None => reference = Some(stats),
-            Some(r) => assert_eq!(&stats, r, "shards={shards} oracle={check} must match"),
-        }
-    }
+            .unwrap_or_else(|e| panic!("oracle={check}: {e}"))
+    };
+    assert_eq!(run(true), run(false), "the oracle must not change results");
 }
 
 /// Host profiling must be provably non-perturbing: the same workload with
-/// `SimConfig::perf` on and off, across every engine mode × shard count
-/// in {1, 4}, produces byte-identical `NetStats` — and the collected
-/// profile is internally consistent (every stepped cycle classified as
-/// wide or inline, one record per shard, event counters present exactly
-/// in event mode, per-shard busy time bounded by the run's wall-clock;
-/// wall-clock bounds are deliberately loose upper bounds — threaded
-/// shards time in parallel, so only gross misattribution would trip
-/// them).
+/// `SimConfig::perf` on and off, in every engine mode, produces
+/// byte-identical `NetStats` — and the collected profile is internally
+/// consistent (one phase record, event counters present exactly in event
+/// mode, phase time bounded by the run's wall-clock; the wall-clock
+/// bounds are deliberately loose, so only gross misattribution would
+/// trip them).
 #[test]
 fn perf_profiling_is_invisible_and_consistent() {
     let grid: [(&str, u64, u8, bool); 2] = [
@@ -180,69 +135,59 @@ fn perf_profiling_is_invisible_and_consistent() {
     ];
     for (shape, k, chunks, det) in grid {
         let part: Partition = shape.parse().unwrap();
-        for shards in [1usize, 4] {
-            for mode in EngineMode::ALL {
-                let mut cfg = SimConfig::new(part);
-                cfg.engine = mode;
-                cfg.shards = NonZeroUsize::new(shards).unwrap();
-                cfg.detailed_link_stats = true;
-                let plain = Engine::new(cfg.clone(), uniform(&part, k, chunks, det))
-                    .run()
-                    .unwrap_or_else(|e| panic!("{shape} shards={shards} {mode} plain: {e}"));
-                cfg.perf = Some(PerfConfig::default());
-                let mut engine = Engine::new(cfg, uniform(&part, k, chunks, det));
-                let profiled = engine
-                    .run()
-                    .unwrap_or_else(|e| panic!("{shape} shards={shards} {mode} profiled: {e}"));
-                assert_eq!(
-                    profiled, plain,
-                    "{shape} shards={shards} {mode}: --perf must not perturb NetStats"
-                );
-                let p = engine.take_perf().expect("profile collected");
-                let ctx = format!("{shape} shards={shards} {mode}");
-                assert_eq!(
-                    p.wide_cycles + p.inline_cycles,
-                    p.stepped_cycles,
-                    "{ctx}: every stepped cycle is wide or inline"
-                );
-                assert!(p.stepped_cycles > 0, "{ctx}: cycles were stepped");
-                assert_eq!(p.shards.len(), shards, "{ctx}: one record per shard");
-                assert_eq!(
-                    p.event.is_some(),
-                    mode == EngineMode::EventDriven,
-                    "{ctx}: event counters iff event mode"
-                );
-                assert!(p.total_secs > 0.0, "{ctx}: wall-clock measured");
+        for mode in EngineMode::ALL {
+            let mut cfg = SimConfig::new(part);
+            cfg.engine = mode;
+            cfg.detailed_link_stats = true;
+            let plain = Engine::new(cfg.clone(), uniform(&part, k, chunks, det))
+                .run()
+                .unwrap_or_else(|e| panic!("{shape} {mode} plain: {e}"));
+            cfg.perf = Some(PerfConfig::default());
+            let mut engine = Engine::new(cfg, uniform(&part, k, chunks, det));
+            let profiled = engine
+                .run()
+                .unwrap_or_else(|e| panic!("{shape} {mode} profiled: {e}"));
+            assert_eq!(
+                profiled, plain,
+                "{shape} {mode}: --perf must not perturb NetStats"
+            );
+            let p = engine.take_perf().expect("profile collected");
+            let ctx = format!("{shape} {mode}");
+            assert!(p.stepped_cycles > 0, "{ctx}: cycles were stepped");
+            assert_eq!(p.phase_totals(), p.phases, "{ctx}: one phase record");
+            assert_eq!(p.phases.id_fixup, 0.0, "{ctx}: ids are final at injection");
+            assert_eq!(p.barrier_wait_secs(), 0.0, "{ctx}: no barriers");
+            assert_eq!(
+                p.event.is_some(),
+                mode == EngineMode::EventDriven,
+                "{ctx}: event counters iff event mode"
+            );
+            assert!(p.total_secs > 0.0, "{ctx}: wall-clock measured");
+            assert!(
+                p.active_occupancy_mean <= p.active_occupancy_max as f64,
+                "{ctx}: occupancy mean bounded by max"
+            );
+            // Loose timing sanity: phase laps are disjoint slices of the
+            // run, so their sum cannot (grossly) exceed the whole run's
+            // wall-clock. A little slack absorbs clock quantization on
+            // near-zero laps.
+            let busy = p.phases.total();
+            assert!(
+                busy <= 1e-3 + p.total_secs,
+                "{ctx}: phases sum to {busy} vs total {}",
+                p.total_secs
+            );
+            // Outside event mode every stepped cycle's work happens
+            // inside a timed phase lap, so the phase sum must account for
+            // the bulk of the wall-clock (10 % is far below the ~90 % seen
+            // in practice; event mode spends its time in fast-forward,
+            // which is deliberately not a phase).
+            if mode != EngineMode::EventDriven {
                 assert!(
-                    p.active_occupancy_mean <= p.active_occupancy_max as f64,
-                    "{ctx}: occupancy mean bounded by max"
+                    busy >= 0.1 * p.total_secs,
+                    "{ctx}: phases sum to {busy} of total {}",
+                    p.total_secs
                 );
-                // Loose timing sanity: phase laps are disjoint slices of
-                // each shard thread's time, so no shard's busy total can
-                // (grossly) exceed the whole run's wall-clock. A little
-                // slack absorbs clock quantization on near-zero laps.
-                let slack = 1e-3 + p.total_secs;
-                for (i, s) in p.shards.iter().enumerate() {
-                    assert!(
-                        s.busy_secs() <= slack,
-                        "{ctx}: shard {i} busy {} vs total {}",
-                        s.busy_secs(),
-                        p.total_secs
-                    );
-                }
-                // Outside event mode every stepped cycle's work happens
-                // inside a timed phase lap, so the phase sum must account
-                // for the bulk of the wall-clock (10 % is far below the
-                // ~90 % seen in practice; event mode spends its time in
-                // fast-forward, which is deliberately not a phase).
-                if mode != EngineMode::EventDriven {
-                    assert!(
-                        p.busy_secs() >= 0.1 * p.total_secs,
-                        "{ctx}: phases sum to {} of total {}",
-                        p.busy_secs(),
-                        p.total_secs
-                    );
-                }
             }
         }
     }
@@ -252,21 +197,19 @@ proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
 
     /// Randomized equivalence fuzzer with a perf on/off dimension: any
-    /// (shape, routing, engine mode, shard count, perf) cell must match
-    /// the byte-identical reference stats of its perf-off sibling.
+    /// (shape, routing, engine mode, perf) cell must match the
+    /// byte-identical reference stats of its perf-off sibling.
     #[test]
     fn fuzzed_configs_match_with_and_without_perf(
         shape_i in 0usize..4,
         deterministic in proptest::arbitrary::any::<bool>(),
         engine_i in 0usize..EngineMode::ALL.len(),
-        shards_i in 0usize..3,
         perf in proptest::arbitrary::any::<bool>(),
     ) {
         let shapes = ["4x4", "4x2x2", "8x1x1", "3x3x2"];
         let part: Partition = shapes[shape_i].parse().unwrap();
         let mut cfg = SimConfig::new(part);
         cfg.engine = EngineMode::ALL[engine_i];
-        cfg.shards = NonZeroUsize::new([1usize, 2, 4][shards_i]).unwrap();
         let reference = Engine::new(cfg.clone(), uniform(&part, 1, 4, deterministic))
             .run()
             .expect("reference run completes");

@@ -23,11 +23,6 @@ use bgl_alltoall::harness::runner::{RunPoint, Runner, Scale};
 use bgl_alltoall::prelude::*;
 use bgl_sim::{EngineMode, FaultPlan, LinkFault, TraceConfig};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
-
-/// Shard counts drawn by the fuzzer: the sequential baseline, even splits,
-/// and a prime that never divides the node counts (uneven slabs).
-const SHARD_POOL: [usize; 4] = [1, 2, 4, 7];
 
 /// The strategy pool: every class once — direct adaptive/deterministic,
 /// throttled, and the three software-forwarding schemes.
@@ -77,9 +72,7 @@ proptest! {
 
     /// Equivalences 1 and 2: every engine mode vs the full-scan
     /// reference, traced and untraced, on a random configuration with a
-    /// random trace interval — and, for every comparison run, a random
-    /// shard count (the reference always runs unsharded, so every drawn
-    /// case also checks sharding changes nothing).
+    /// random trace interval.
     #[test]
     fn engine_modes_and_tracing_agree(
         shape_i in 0usize..6,
@@ -87,14 +80,12 @@ proptest! {
         m_i in 0usize..4,
         cov_i in 0usize..2,
         interval in 100u64..2000,
-        shard_i in 0usize..4,
     ) {
         let (part, strategy, m, cov) = config(shape_i, strat_i, m_i, cov_i);
-        let shards = NonZeroUsize::new(SHARD_POOL[shard_i]).unwrap();
         let workload = workload(m, cov);
         let params = MachineParams::bgl();
         let label = format!(
-            "{part} {} m={m} cov={cov} every={interval} shards={shards}",
+            "{part} {} m={m} cov={cov} every={interval}",
             strategy.name()
         );
         let mut cfg = SimConfig::new(part);
@@ -102,12 +93,11 @@ proptest! {
         let reference =
             run_aa(part, &workload, &strategy, &params, cfg).expect("full-scan run completes");
         for mode in EngineMode::ALL {
-            if mode == EngineMode::FullScan && shards.get() == 1 {
+            if mode == EngineMode::FullScan {
                 continue; // identical to the reference run by construction
             }
             let mut cfg = SimConfig::new(part);
             cfg.engine = mode;
-            cfg.shards = shards;
             let got = run_aa(part, &workload, &strategy, &params, cfg)
                 .expect("optimized run completes");
             prop_assert_eq!(got.cycles, reference.cycles, "{} {}", &label, mode);
@@ -120,7 +110,6 @@ proptest! {
         for mode in EngineMode::ALL {
             let mut cfg = SimConfig::new(part);
             cfg.engine = mode;
-            cfg.shards = shards;
             cfg.trace = Some(TraceConfig::every(interval));
             let traced =
                 run_aa(part, &workload, &strategy, &params, cfg).expect("traced run completes");
@@ -174,22 +163,20 @@ proptest! {
     /// Fault dimension of equivalence 1: a random set of statically dead
     /// links must leave the run's entire `Result` — completed `NetStats`
     /// byte-for-byte, or the exact same `SimError` — invariant across
-    /// all three engine modes and across shard counts. Also pins the
+    /// all three engine modes. Also pins the
     /// no-op guarantee: a fault scheduled far past completion runs the
     /// degraded-mode arbitration code yet stays byte-identical to the
     /// healthy run.
     #[test]
-    fn fault_plans_are_engine_and_shard_invariant(
+    fn fault_plans_are_engine_invariant(
         shape_i in 0usize..6,
         strat_i in 0usize..6,
         m_i in 0usize..2,
         cov_i in 0usize..2,
         picks in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..4),
-        shard_i in 0usize..4,
     ) {
         let (part, strategy, _, cov) = config(shape_i, strat_i, 0, cov_i);
         let m = [64u64, 240][m_i];
-        let shards = NonZeroUsize::new(SHARD_POOL[shard_i]).unwrap();
         let workload = workload(m, cov);
         let params = MachineParams::bgl();
         let plan = FaultPlan {
@@ -197,7 +184,7 @@ proptest! {
             nodes: vec![],
         };
         let label = format!(
-            "{part} {} m={m} cov={cov} shards={shards} faults={:?}",
+            "{part} {} m={m} cov={cov} faults={:?}",
             strategy.name(),
             plan.links
         );
@@ -206,27 +193,25 @@ proptest! {
         // short (but progress-based, so never spuriously firing) fuse
         // keeps those fuzz cases fast. Identical in every compared run.
         let fuse = 10_000;
-        let base = |mode: EngineMode, shards: NonZeroUsize, fault: FaultPlan| {
+        let base = |mode: EngineMode, fault: FaultPlan| {
             let mut cfg = SimConfig::new(part);
             cfg.engine = mode;
-            cfg.shards = shards;
             cfg.watchdog_cycles = fuse;
             cfg.fault = fault;
             cfg
         };
 
-        let one = NonZeroUsize::new(1).unwrap();
         let reference = run_aa(
             part, &workload, &strategy, &params,
-            base(EngineMode::FullScan, one, plan.clone()),
+            base(EngineMode::FullScan, plan.clone()),
         );
         for mode in EngineMode::ALL {
-            if mode == EngineMode::FullScan && shards.get() == 1 {
+            if mode == EngineMode::FullScan {
                 continue;
             }
             let got = run_aa(
                 part, &workload, &strategy, &params,
-                base(mode, shards, plan.clone()),
+                base(mode, plan.clone()),
             );
             match (&reference, &got) {
                 (Ok(a), Ok(b)) => {
@@ -253,11 +238,11 @@ proptest! {
         };
         let healthy = run_aa(
             part, &workload, &strategy, &params,
-            base(EngineMode::FullScan, one, FaultPlan::default()),
+            base(EngineMode::FullScan, FaultPlan::default()),
         ).expect("healthy run completes");
         let nooped = run_aa(
             part, &workload, &strategy, &params,
-            base(EngineMode::FullScan, one, noop),
+            base(EngineMode::FullScan, noop),
         ).expect("noop-fault run completes");
         prop_assert_eq!(healthy.cycles, nooped.cycles, "{} noop", &label);
         prop_assert_eq!(&healthy.stats, &nooped.stats, "{} noop", &label);
