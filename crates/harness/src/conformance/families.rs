@@ -400,9 +400,10 @@ pub fn points(runner: &Runner, tier: Tier) -> Vec<RunPoint> {
     pts
 }
 
-/// Fetch helpers: percent of peak and coverage-extrapolated latency for
-/// a grid point; `NAN` for a failed run, which fails every comparison it
-/// enters (a crashed fixture must surface as FAIL, not as a panic).
+/// Fetch helpers: percent of peak and latency (extrapolated by the
+/// sampled fraction of destinations) for a grid point; `NAN` for a failed
+/// run, which fails every comparison it enters (a crashed fixture must
+/// surface as FAIL, not as a panic).
 struct Fetch<'a> {
     runner: &'a Runner,
 }
@@ -418,7 +419,7 @@ impl Fetch<'_> {
     fn ms(&self, shape: &str, strategy: &StrategyKind, m: u64) -> f64 {
         self.runner
             .report(&checked(self.runner, shape, strategy, m))
-            .map(|r| r.time_secs * 1e3 / r.workload.coverage)
+            .map(|r| r.time_secs * 1e3 / r.workload.effective_fraction(r.partition.num_nodes()))
             .unwrap_or(f64::NAN)
     }
 

@@ -53,7 +53,7 @@ pub(crate) fn ar_vs_model(
         let t_peak = peak::aa_peak_time_secs(&part, m, &params) * 1e3;
         match runner.aa(shape, &StrategyKind::ar(), m) {
             Ok(r) => {
-                let t_meas = r.time_secs * 1e3 / r.workload.coverage;
+                let t_meas = r.time_secs * 1e3 / r.workload.effective_fraction(part.num_nodes());
                 rep.push_row(vec![
                     m.to_string(),
                     format!("{t_meas:.3}"),
@@ -73,7 +73,7 @@ pub(crate) fn ar_vs_model(
             ]),
         }
     }
-    rep.note("measured times extrapolated by 1/coverage when sampled; model is Equation 3 (P·α + P·C·(m+h)·β)");
+    rep.note("sampled runs scaled up by the fraction of destinations sent to; model is Equation 3 (P·α + P·C·(m+h)·β)");
     rep
 }
 

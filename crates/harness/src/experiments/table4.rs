@@ -53,9 +53,11 @@ pub fn run(runner: &Runner) -> ExperimentReport {
         let run_ms = |strategy: &StrategyKind| -> Result<f64, String> {
             let r = runner.aa(shape, strategy, 1).map_err(|e| e.to_string())?;
             // When the run was coverage-sampled, extrapolate the full-AA
-            // latency linearly in the traffic volume (the regime is
+            // latency linearly in the traffic volume, the fraction of
+            // destinations actually sent to (the regime is
             // bandwidth-dominated even at 64-byte packets — Section 4.1).
-            Ok(r.time_secs * 1e3 / r.workload.coverage)
+            let p = r.partition.num_nodes();
+            Ok(r.time_secs * 1e3 / r.workload.effective_fraction(p))
         };
         match (run_ms(&tps), run_ms(&ar)) {
             (Ok(t), Ok(a)) => rep.push_row(vec![
@@ -77,7 +79,7 @@ pub fn run(runner: &Runner) -> ExperimentReport {
         }
     }
     rep.note(
-        "1-byte payload rides the 64-byte minimum packet; sampled runs extrapolated by 1/coverage",
+        "1-byte payload rides the 64-byte minimum packet; sampled runs scaled up by the fraction of destinations sent to",
     );
     rep
 }

@@ -2,14 +2,15 @@
 //!
 //! [`render_perf_report`] turns an [`AaReport`] that carries a
 //! [`PerfProfile`](bgl_sim::PerfProfile) into the `bglsim profile` text:
-//! a per-phase wall-clock breakdown and — for event-mode runs — the
+//! a per-phase wall-clock breakdown, the exact operation counts and — for
+//! event-mode runs — the
 //! wake-cause breakdown and the power-of-two skip-length histogram.
 //! Everything here is *host* time (seconds on the machine running the
 //! simulator); the simulated-cycle figures next to it exist precisely so
 //! the two are never confused.
 
 use bgl_core::AaReport;
-use bgl_sim::{EventPerf, PerfProfile};
+use bgl_sim::{EventPerf, OpCounts, PerfProfile};
 use std::fmt::Write as _;
 
 /// Width of the share bars, characters at 100 %.
@@ -51,6 +52,7 @@ pub fn render_perf_report(report: &AaReport) -> String {
     );
     out.push('\n');
     render_phase_breakdown(&mut out, p);
+    render_op_counts(&mut out, &p.ops);
     if let Some(ev) = &p.event {
         render_event_counters(&mut out, ev);
     }
@@ -86,6 +88,15 @@ fn render_phase_breakdown(out: &mut String, p: &PerfProfile) {
         0.0
     };
     let _ = writeln!(out, "  busy {busy:.4}s ({attributed:.1}% of wall-clock)");
+}
+
+/// Operation counts: exact and host-independent, so they explain the
+/// phase seconds above without host noise.
+fn render_op_counts(out: &mut String, ops: &OpCounts) {
+    let _ = writeln!(out, "operation counts (exact; identical on every rerun):");
+    for (label, count) in ops.named() {
+        let _ = writeln!(out, "  {label:<20} {count:>12}");
+    }
 }
 
 /// Event-engine section: jump totals, wake-cause breakdown and the
@@ -164,6 +175,8 @@ mod tests {
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
+        assert!(text.contains("operation counts"), "{text}");
+        assert!(text.contains("hop_plans_built"), "{text}");
         assert!(!text.contains("shard"), "{text}");
         assert!(
             !text.contains("event engine:"),

@@ -628,6 +628,7 @@ fn bglsim_profile_happy_paths() {
             "--engine {engine}: {stdout}"
         );
         assert!(stdout.contains("phase breakdown"), "{stdout}");
+        assert!(stdout.contains("hop_plans_built"), "{stdout}");
         assert_eq!(
             stdout.contains("skip-length histogram"),
             engine == "event",
@@ -658,6 +659,7 @@ fn bglsim_profile_exports_csv_and_json() {
     assert!(csv.starts_with("metric,value"), "{csv}");
     assert!(csv.contains("\r\n"), "RFC-4180 wants CRLF");
     assert!(csv.contains("total_secs,"), "{csv}");
+    assert!(csv.contains("op_hop_plans_built,"), "{csv}");
     let mut json_args = base.to_vec();
     json_args.push("--json");
     let (code, json, stderr) = run(bin, &json_args);
@@ -666,6 +668,8 @@ fn bglsim_profile_exports_csv_and_json() {
     let perf = report.perf.as_ref().expect("profile present");
     assert!(perf.stepped_cycles > 0);
     assert_eq!(perf.barrier_wait_secs(), 0.0);
+    // A healthy run routes each injected packet exactly once.
+    assert_eq!(perf.ops.hop_plans_built, report.stats.packets_injected);
 }
 
 /// `profile` obeys the one-line exit-2 contract on malformed input.

@@ -67,23 +67,14 @@ pub(super) enum PollState {
     Asleep { denials: u64 },
 }
 
-/// Per-node event-mode bookkeeping, rewritten at each CPU visit.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct NodeEvent {
-    pub(super) poll: PollState,
-    /// The last visit ended with queued sends that no injection FIFO
-    /// could take: pulling more is pointless until an arbitration win
-    /// drains an injection FIFO (which clears this).
-    pub(super) inject_blocked: bool,
-}
-
-/// Engine-wide event-mode state: per-node wake hints plus a one-cycle
-/// "freshness" bitset of nodes whose arbitration inputs changed during
-/// the current stepped cycle (downstream pop or credit spend). A fresh
-/// node must be re-arbitrated next cycle, so any freshness suppresses
-/// skipping entirely. Indexed by node rank.
+/// Engine-wide event-mode state: per-node poll states (rewritten at each
+/// CPU visit) plus a one-cycle "freshness" bitset of nodes whose
+/// arbitration inputs changed during the current stepped cycle
+/// (downstream pop or credit spend). A fresh node must be re-arbitrated
+/// next cycle, so any freshness suppresses skipping entirely. Indexed by
+/// node rank.
 pub(super) struct EventState {
-    pub(super) nodes: Vec<NodeEvent>,
+    pub(super) polls: Vec<PollState>,
     fresh: Vec<u64>,
     any_fresh: bool,
 }
@@ -91,7 +82,7 @@ pub(super) struct EventState {
 impl EventState {
     pub(super) fn new(n: usize) -> EventState {
         EventState {
-            nodes: vec![NodeEvent::default(); n],
+            polls: vec![PollState::Open; n],
             fresh: vec![0; n.div_ceil(64)],
             any_fresh: false,
         }
@@ -205,20 +196,22 @@ impl Engine {
     /// `floor(cpu_free)` — before that, even a pending drain cannot run.
     fn cpu_wake(&self, g: usize) -> u64 {
         let n = &self.nodes[g];
-        let ev = self.events.as_ref().expect("event mode").nodes[g];
+        let poll = self.events.as_ref().expect("event mode").polls[g];
         let ready = (n.cpu_free as u64).max(self.now);
         if !n.reception.is_empty() {
             // A drain mutates real state: never skip past it.
             return ready;
         }
         let mut wake = u64::MAX;
-        if (!n.pending.is_empty() || !n.pulled.is_empty()) && !ev.inject_blocked {
-            // Queued sends with injection space available: injections
-            // happen as soon as the CPU frees up.
+        if (!n.pending.is_empty() || !n.pulled.is_empty()) && !n.inject_blocked {
+            // Queued sends the last scan did not rule out: injections
+            // happen as soon as the CPU frees up. A blocked node waits for
+            // an injection-FIFO pop (an arbitration win, which marks it
+            // fresh) or a new queued send (a stepped CPU visit).
             wake = ready;
         }
         if !n.program_done && n.pulled.len() < PULL_THRESHOLD {
-            match ev.poll {
+            match poll {
                 PollState::Open => wake = wake.min(ready),
                 PollState::Rate => {
                     // First cycle `t` with `t >= next_allowed`; every
@@ -291,7 +284,7 @@ impl Engine {
                     continue;
                 }
                 let cycles = stop - from;
-                match self.events.as_ref().expect("event mode").nodes[g].poll {
+                match self.events.as_ref().expect("event mode").polls[g] {
                     PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
                     PollState::Asleep { denials } if denials > 0 => {
                         self.stats.credit_blocked_events += denials * cycles;

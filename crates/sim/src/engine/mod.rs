@@ -14,7 +14,8 @@
 //!    program and pay the injection costs to place packets into injection
 //!    FIFOs. All costs are charged against a single per-node CPU timeline.
 //! 4. **Arbitration** — every idle output link picks, round-robin, a
-//!    feasible head among the 18 transit VC FIFOs and the injection FIFOs.
+//!    feasible head among the `2n · 3` transit VC FIFOs (18 on a 3-D
+//!    torus) and the injection FIFOs.
 //!    Adaptive packets choose a dynamic VC by join-shortest-queue, with an
 //!    optional dimension-ordered bubble-VC escape; deterministic packets
 //!    use the bubble VC only, honouring the bubble deadlock-avoidance rule.
@@ -35,6 +36,15 @@
 //! and is folded into `NetStats::cpu_busy_cycles` in ascending node order,
 //! at observation points only, so the one float sum has a fixed order.
 //!
+//! Beside those rules sits one memo, the per-node `inject_blocked` flag.
+//! Phase 3 sets it when a node's injection scan finds no queued send an
+//! injection FIFO of its class can take. An injection-FIFO pop in phase
+//! 4 clears it, and so does any growth of the node's `pending` or
+//! `pulled` queue (a `next_send` pull, or reactive sends from `start`,
+//! `on_packet` or another hook). Nothing else changes the scan's outcome,
+//! so while the flag is set phase 3 skips the scan and the event-driven
+//! mode sets no injection wake-up for the node.
+//!
 //! The run ends when every program reports complete and no packet remains
 //! anywhere; a watchdog aborts with diagnostics if traffic stops moving.
 //!
@@ -50,7 +60,7 @@ mod phases;
 mod tracer;
 
 use crate::config::{EngineMode, SimConfig, Vc};
-use crate::node::{vc_fifo_index, NodeState};
+use crate::node::{class_fifos, vc_fifo_index, NodeState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::program::{NodeApi, NodeProgram};
 use crate::stats::{NetStats, LATENCY_BUCKETS};
@@ -359,6 +369,8 @@ pub struct Engine {
     ports: usize,
     /// Credit cells per node (`ports · NUM_VCS`, one per transit VC FIFO).
     vc_cells: usize,
+    /// The injection FIFOs of each class (see [`class_fifos`]).
+    class_fifos: [u32; 8],
     /// `busy_until[n*ports+dir]`.
     link_busy_until: Vec<u64>,
     /// Available downstream space per transit VC FIFO, indexed
@@ -424,6 +436,7 @@ impl Engine {
         }
         let ports = part.ports();
         let vc_cells = ports * crate::config::NUM_VCS;
+        let class_fifos = class_fifos(&cfg);
         let nodes: Vec<NodeState> = (0..p as u32)
             .map(|r| NodeState::new(part.coord_of(r), &cfg, ports))
             .collect();
@@ -495,6 +508,7 @@ impl Engine {
             neighbors,
             ports,
             vc_cells,
+            class_fifos,
             link_busy_until: vec![0; p * ports],
             credits,
             queues: Queues::new(p),
@@ -630,6 +644,9 @@ impl Engine {
             // Anchoring at `max(cpu_free, now)` is implicit here: `start`
             // runs at cycle 0 with every `cpu_free` still 0.0.
             node.cpu_free += extra;
+            if after > before {
+                node.inject_blocked = false;
+            }
             self.counts.pending_total += (after - before) as u64;
             if prog.is_complete() {
                 node.program_done = true;
@@ -763,6 +780,7 @@ impl Engine {
                 ndims: self.part.ndims(),
             },
             part: &self.part,
+            class_fifos: self.class_fifos,
             now: self.now,
             full_scan: self.full_scan,
             nodes: &mut self.nodes,
@@ -773,7 +791,7 @@ impl Engine {
             stats: &mut self.stats,
             events: self.events.as_deref_mut(),
             oracle: self.oracle.as_deref_mut(),
-            perf: self.perf.as_deref_mut().map(|p| &mut p.profile.phases),
+            perf: self.perf.as_deref_mut().map(|p| &mut p.profile),
         }
     }
 

@@ -118,7 +118,7 @@ impl Engine {
         // Classify before touching the profile so the event-state read
         // and the profile write never borrow `self` simultaneously.
         let poll = match cause {
-            WakeCause::Cpu(g) => Some(self.events.as_ref().expect("event mode").nodes[g].poll),
+            WakeCause::Cpu(g) => Some(self.events.as_ref().expect("event mode").polls[g]),
             _ => None,
         };
         let Some(evp) = self.perf_event_counters() else {

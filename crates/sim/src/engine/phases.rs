@@ -11,13 +11,13 @@
 //! see a fixed snapshot, and the node visit order of phase 4 cannot leak
 //! into results.
 
-use super::event::{EventState, NodeEvent, PollState};
+use super::event::{EventState, PollState};
 use super::{Arrival, Counters, Queues, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState};
-use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET, NO_DETOUR};
-use crate::perf::PhaseSecs;
+use crate::packet::{Packet, RoutingMode, SendSpec, DETOUR_BUDGET, NO_DETOUR};
+use crate::perf::{OpCounts, PerfProfile, PhaseSecs};
 use crate::program::{NodeApi, NodeProgram, PollHint};
 use crate::stats::NetStats;
 use bgl_torus::{Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
@@ -372,12 +372,44 @@ pub(super) fn sendable_dirs(node: &NodeState, ports: usize) -> u16 {
     dirs
 }
 
+/// The first of the injection FIFOs in the bit set `fifos` with `chunks`
+/// free, if any.
+fn first_fit(node: &NodeState, mut fifos: u32, chunks: u32) -> Option<usize> {
+    while fifos != 0 {
+        let f = fifos.trailing_zeros() as usize;
+        fifos &= fifos - 1;
+        if node.inj[f].free_chunks() >= chunks {
+            return Some(f);
+        }
+    }
+    None
+}
+
+/// Position, in scan order, of the first queued send some injection FIFO
+/// of its class can take now: the first [`INJECT_SCAN`] reactive sends,
+/// then the first [`INJECT_SCAN`] pulled ones. Reads only FIFO space and
+/// the queues, so nothing is routed for a send that cannot go.
+/// `class_fifos` is the engine's per-class FIFO table.
+fn injectable(node: &NodeState, class_fifos: &[u32; 8]) -> Option<usize> {
+    let fits = |s: &SendSpec| {
+        debug_assert!((1..=8).contains(&s.chunks), "packet must be 1..=8 chunks");
+        first_fit(node, class_fifos[s.class as usize], s.chunks as u32).is_some()
+    };
+    node.pending
+        .iter()
+        .take(INJECT_SCAN)
+        .chain(node.pulled.iter().take(INJECT_SCAN))
+        .position(fits)
+}
+
 /// The engine, borrowed for one cycle: the read-only routing view plus
 /// exclusive access to the node state, queues and observers the phases
 /// mutate.
 pub(super) struct Cycle<'a> {
     pub(super) router: Router<'a>,
     pub(super) part: &'a Partition,
+    /// The injection FIFOs of each class (see [`crate::node::class_fifos`]).
+    pub(super) class_fifos: [u32; 8],
     /// The cycle being run.
     pub(super) now: u64,
     pub(super) full_scan: bool,
@@ -391,10 +423,11 @@ pub(super) struct Cycle<'a> {
     pub(super) events: Option<&'a mut EventState>,
     /// Invariant oracle; `Some` only with `check_invariants`.
     pub(super) oracle: Option<&'a mut crate::engine::oracle::Oracle>,
-    /// The host profiler's phase clock (`SimConfig::perf`). The profiler
-    /// only reads the host clock and writes its own accumulator, so
-    /// enabling it can never perturb simulation results.
-    pub(super) perf: Option<&'a mut PhaseSecs>,
+    /// The host profiler's phase clock and operation counters
+    /// (`SimConfig::perf`). The profiler only reads the host clock and
+    /// writes its own accumulators, so enabling it can never perturb
+    /// simulation results.
+    pub(super) perf: Option<&'a mut PerfProfile>,
 }
 
 impl Cycle<'_> {
@@ -419,8 +452,17 @@ impl Cycle<'_> {
                 .as_deref_mut()
                 .expect("lap clock only runs with profiling on");
             let now = std::time::Instant::now();
-            *slot(p) += now.duration_since(*t0).as_secs_f64();
+            *slot(&mut p.phases) += now.duration_since(*t0).as_secs_f64();
             *t0 = now;
+        }
+    }
+
+    /// Add to the operation counters when profiling is on; off, one
+    /// predictable branch.
+    #[inline]
+    fn count(&mut self, f: impl FnOnce(&mut OpCounts)) {
+        if let Some(p) = self.perf.as_deref_mut() {
+            f(&mut p.ops);
         }
     }
 
@@ -575,10 +617,11 @@ impl Cycle<'_> {
     fn cpu_node(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
         let horizon = (t + 1) as f64;
         let mut declined = false;
+        self.count(|o| o.cpu_visits += 1);
         if let Some(ev) = self.events.as_deref_mut() {
-            // Re-derive this node's sleep hints from scratch: the branches
-            // below overwrite the defaults with whatever actually blocked.
-            ev.nodes[i] = NodeEvent::default();
+            // Re-derive this node's poll state from scratch: the branches
+            // below overwrite the default with whatever actually blocked.
+            ev.polls[i] = PollState::Open;
         }
         for _guard in 0..64 {
             if self.nodes[i].cpu_free >= horizon {
@@ -602,7 +645,7 @@ impl Cycle<'_> {
                     declined = true;
                     self.stats.pacing_blocked_cycles += 1;
                     if let Some(ev) = self.events.as_deref_mut() {
-                        ev.nodes[i].poll = PollState::Rate;
+                        ev.polls[i] = PollState::Rate;
                     }
                     if prog.is_complete() && !self.nodes[i].program_done {
                         self.nodes[i].program_done = true;
@@ -626,11 +669,16 @@ impl Cycle<'_> {
                         node.cpu_free = node.cpu_free.max(t as f64) + extra;
                         node.cpu_busy += extra;
                     }
+                    if after > before {
+                        node.inject_blocked = false;
+                    }
                     self.counts.pending_total += (after - before) as u64;
                     match spec {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
-                            self.nodes[i].pulled.push_back(s);
+                            let node = &mut self.nodes[i];
+                            node.pulled.push_back(s);
+                            node.inject_blocked = false;
                             self.counts.pending_total += 1;
                         }
                         None => {
@@ -644,7 +692,7 @@ impl Cycle<'_> {
                                         extra == 0.0 && after == before,
                                         "SleepUntilDelivery program mutated state on decline"
                                     );
-                                    ev.nodes[i].poll = PollState::Asleep { denials };
+                                    ev.polls[i] = PollState::Asleep { denials };
                                 }
                             }
                             if prog.is_complete() && !self.nodes[i].program_done {
@@ -655,15 +703,19 @@ impl Cycle<'_> {
                     }
                 }
             }
-            if self.nodes[i].pending.is_empty() && self.nodes[i].pulled.is_empty() {
+            let node = &self.nodes[i];
+            if node.pending.is_empty() && node.pulled.is_empty() {
+                break;
+            }
+            if node.inject_blocked {
+                // The last scan failed and nothing it depends on changed.
+                debug_assert!(
+                    injectable(node, &self.class_fifos).is_none(),
+                    "injection-blocked flag set while a queued send fits"
+                );
                 break;
             }
             if !self.cpu_inject_one(i, t) {
-                if let Some(ev) = self.events.as_deref_mut() {
-                    // Every queued packet is stuck on injection-FIFO space;
-                    // only an arbitration win here can free some.
-                    ev.nodes[i].inject_blocked = true;
-                }
                 break; // no injection FIFO can take any queued packet now
             }
         }
@@ -717,6 +769,9 @@ impl Cycle<'_> {
         let after = node.pending.len();
         node.cpu_free += extra;
         node.cpu_busy += extra;
+        if after > before {
+            node.inject_blocked = false;
+        }
         self.counts.pending_total += (after - before) as u64;
         self.counts.live_packets -= 1;
         if !node.program_done && prog.is_complete() {
@@ -731,82 +786,62 @@ impl Cycle<'_> {
         self.counts.last_progress = t;
     }
 
-    /// Pay for and inject the first injectable pending send. Returns false
-    /// if no injection FIFO currently accepts any of the first
-    /// [`INJECT_SCAN`] pending packets.
+    /// Pay for and inject the first injectable queued send (see
+    /// [`injectable`]). Returns false, and sets the node's
+    /// `inject_blocked` flag, if no injection FIFO takes any of them now.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
-        let nfifos = self.nodes[i].inj.len();
-        let mut chosen = None;
-        let reactive_len = self.nodes[i].pending.len().min(INJECT_SCAN);
-        let pulled_len = self.nodes[i].pulled.len().min(INJECT_SCAN);
-        'scan: for qi in 0..reactive_len + pulled_len {
-            let spec = if qi < reactive_len {
-                &self.nodes[i].pending[qi]
-            } else {
-                &self.nodes[i].pulled[qi - reactive_len]
-            };
-            let chunks = spec.chunks;
-            let class = spec.class;
-            debug_assert!((1..=8).contains(&chunks), "packet must be 1..=8 chunks");
-            // Direction-affine placement: BG/L messaging software binds
-            // injection FIFOs to link directions so one FIFO's blocked head
-            // never starves an idle link of a different direction. Map the
-            // packet's first route direction onto the FIFOs of its class,
-            // falling back to any class FIFO with space.
-            let dst = self.part.coord_of(spec.dst_rank);
-            let plan = HopPlan::new(self.part, self.nodes[i].coord, dst, TieBreak::SrcParity);
-            let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            let mask = 1u8 << class;
-            let node = &self.nodes[i];
-            let eligible_count = (0..nfifos)
-                .filter(|&f| node.inj_class[f] & mask != 0)
-                .count();
-            if eligible_count == 0 {
-                continue;
-            }
-            let target = primary % eligible_count;
-            let pref = (0..nfifos)
-                .filter(|&f| node.inj_class[f] & mask != 0)
-                .nth(target)
-                .expect("target < eligible_count");
-            if node.inj[pref].free_chunks() >= chunks as u32 {
-                chosen = Some((qi, pref, plan));
-                break 'scan;
-            }
-            for f in 0..nfifos {
-                if node.inj_class[f] & mask != 0 && node.inj[f].free_chunks() >= chunks as u32 {
-                    chosen = Some((qi, f, plan));
-                    break 'scan;
-                }
-            }
-        }
-        let Some((qi, f, plan)) = chosen else {
+        let found = injectable(&self.nodes[i], &self.class_fifos);
+        self.count(|o| {
+            o.inject_scans += 1;
+            o.failed_inject_scans += found.is_none() as u64;
+        });
+        let node = &mut self.nodes[i];
+        let Some(qi) = found else {
+            node.inject_blocked = true;
             return false;
         };
-        let node = &mut self.nodes[i];
+        let reactive_len = node.pending.len().min(INJECT_SCAN);
         let spec = if qi < reactive_len {
-            node.pending.remove(qi).expect("scanned index exists")
+            node.pending.remove(qi)
         } else {
-            node.pulled
-                .remove(qi - reactive_len)
-                .expect("scanned index exists")
-        };
+            node.pulled.remove(qi - reactive_len)
+        }
+        .expect("scanned index exists");
         self.counts.pending_total -= 1;
+        let dst = self.part.coord_of(spec.dst_rank);
+        assert_ne!(dst, node.coord, "programs must not send to themselves");
+        // Direction-affine placement: BG/L messaging software binds
+        // injection FIFOs to link directions so one FIFO's blocked head
+        // never starves an idle link of a different direction. Map the
+        // packet's first route direction onto the FIFOs of its class,
+        // falling back to the first class FIFO with space.
+        let plan = HopPlan::new(self.part, node.coord, dst, TieBreak::SrcParity);
+        let primary = plan.dimension_order_next().map_or(0, |d| d.index()) as u32;
+        let chunks = spec.chunks as u32;
+        let class_fifos = self.class_fifos[spec.class as usize];
+        let mut fifos = class_fifos;
+        for _ in 0..primary % fifos.count_ones() {
+            fifos &= fifos - 1;
+        }
+        let pref = fifos.trailing_zeros() as usize;
+        let f = if node.inj[pref].free_chunks() >= chunks {
+            pref
+        } else {
+            first_fit(node, class_fifos, chunks).expect("injectable found a fit")
+        };
         let cpu = &self.router.cfg.cpu;
         let cost = spec.cpu_cost_cycles
             + cpu.per_packet_inject_cycles
             + spec.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        let dst = self.part.coord_of(spec.dst_rank);
-        assert_ne!(dst, node.coord, "programs must not send to themselves");
         let pkt = Packet {
             id: self.counts.next_packet_id,
             src_rank: i as u32,
             dst,
             chunks: spec.chunks,
             payload_bytes: spec.payload_bytes,
-            // The plan computed for FIFO affinity during the scan, reused.
+            // The plan computed for FIFO affinity, reused.
             plan,
             routing: spec.routing,
             vc: Vc::Dynamic0,
@@ -826,6 +861,7 @@ impl Cycle<'_> {
         self.counts.live_packets += 1;
         self.stats.packets_injected += 1;
         self.counts.last_progress = t;
+        self.count(|o| o.hop_plans_built += 1);
         true
     }
 
@@ -871,6 +907,8 @@ impl Cycle<'_> {
     /// nothing. Nodes with many occupied FIFOs skip it entirely (see
     /// [`SUMMARY_MAX_HEADS`]).
     fn arbitrate_node(&mut self, i: usize, t: u64, use_summary: bool) {
+        let mut probes = 0u64;
+        let mut wins = 0u64;
         let use_summary = use_summary && {
             let node = &self.nodes[i];
             node.vc_mask.count_ones() + node.inj_mask.count_ones() <= SUMMARY_MAX_HEADS
@@ -910,7 +948,8 @@ impl Cycle<'_> {
             if s & (1 << d.index()) == 0 {
                 continue;
             }
-            if let Some(win) = self.arbitrate_output(i, d, nb as usize, t) {
+            if let Some(win) = self.arbitrate_output(i, d, nb as usize, t, &mut probes) {
+                wins += 1;
                 self.apply_win(i, d, nb as usize, win, t);
                 if use_summary && s != all_dirs {
                     // The pop exposed a new head whose wanted directions
@@ -925,26 +964,45 @@ impl Cycle<'_> {
                 }
             }
         }
+        self.count(|o| {
+            o.arb_node_visits += 1;
+            o.arb_head_probes += probes;
+            o.arb_wins += wins;
+        });
     }
 
-    /// Pick a winner for output `d` of node `i`, or `None`.
-    fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
+    /// Pick a winner for output `d` of node `i`, or `None`, adding the
+    /// FIFO heads examined to `probes`.
+    fn arbitrate_output(
+        &self,
+        i: usize,
+        d: Direction,
+        nb: usize,
+        t: u64,
+        probes: &mut u64,
+    ) -> Option<Win> {
         let inject_first = !self.router.cfg.router.transit_priority && (t & 1) == 1;
         if inject_first {
-            if let Some(w) = self.arbitrate_inject(i, d, nb) {
+            if let Some(w) = self.arbitrate_inject(i, d, nb, probes) {
                 return Some(w);
             }
         }
-        if let Some(w) = self.arbitrate_transit(i, d, nb) {
+        if let Some(w) = self.arbitrate_transit(i, d, nb, probes) {
             return Some(w);
         }
         if !inject_first {
-            return self.arbitrate_inject(i, d, nb);
+            return self.arbitrate_inject(i, d, nb, probes);
         }
         None
     }
 
-    fn arbitrate_transit(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
+    fn arbitrate_transit(
+        &self,
+        i: usize,
+        d: Direction,
+        nb: usize,
+        probes: &mut u64,
+    ) -> Option<Win> {
         let node = &self.nodes[i];
         if node.vc_mask == 0 {
             return None;
@@ -959,6 +1017,7 @@ impl Cycle<'_> {
                 let f = half.trailing_zeros() as usize;
                 half &= half - 1;
                 let pkt = node.vcs[f].head().expect("mask says non-empty");
+                *probes += 1;
                 if self.router.wants(pkt, d) {
                     if self.router.suppress_return(pkt, i, d) {
                         continue;
@@ -983,13 +1042,14 @@ impl Cycle<'_> {
         None
     }
 
-    fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
+    fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize, probes: &mut u64) -> Option<Win> {
         let node = &self.nodes[i];
         let mut mask = node.inj_mask;
         while mask != 0 {
             let f = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             let pkt = node.inj[f].head().expect("mask says non-empty");
+            *probes += 1;
             if self.router.wants(pkt, d) {
                 if self.router.suppress_return(pkt, i, d) {
                     continue;
@@ -1039,6 +1099,8 @@ impl Cycle<'_> {
                 if node.inj[fifo as usize].is_empty() {
                     node.inj_mask &= !(1 << fifo);
                 }
+                // Freed injection space may fit a queued send.
+                node.inject_blocked = false;
                 pkt
             }
         };
@@ -1061,6 +1123,10 @@ impl Cycle<'_> {
                 TieBreak::SrcParity,
             );
             pkt.note_detour(nb_port);
+            self.count(|o| {
+                o.hop_plans_built += 1;
+                o.detours += 1;
+            });
         } else {
             pkt.plan.advance(d.dim);
             pkt.clear_detour_from();
@@ -1106,23 +1172,17 @@ impl Cycle<'_> {
     /// Note an arbitration win out of node `g` toward `nb` (event
     /// mode): the pop changed `g`'s own head lineup mid-visit (directions
     /// the per-visit summary already passed must be retried next cycle), a
-    /// transit pop freed upstream credit, an injection pop freed local
-    /// injection space, and the reservation at `nb` may flip the
+    /// transit pop freed upstream credit, and the reservation at `nb` may flip the
     /// bubble-escape eligibility (`preferred_blocked`) of any of `nb`'s
     /// neighbours.
     fn event_note_win(&mut self, g: usize, nb: usize, win: Win) {
         let neighbors = self.router.neighbors;
         let ev = self.events.as_deref_mut().expect("event mode");
         ev.mark_fresh(g);
-        match win.source {
-            WinSource::Transit { fifo } => {
-                let up = neighbors[g][fifo as usize / NUM_VCS];
-                if up != u32::MAX {
-                    ev.mark_fresh(up as usize);
-                }
-            }
-            WinSource::Inject { .. } => {
-                ev.nodes[g].inject_blocked = false;
+        if let WinSource::Transit { fifo } = win.source {
+            let up = neighbors[g][fifo as usize / NUM_VCS];
+            if up != u32::MAX {
+                ev.mark_fresh(up as usize);
             }
         }
         for &m in &neighbors[nb] {

@@ -16,6 +16,30 @@ pub fn vc_fifo_index(port: usize, vc: usize) -> usize {
     port * NUM_VCS + vc
 }
 
+/// The injection FIFOs of each class, from `SimConfig::inj_class_masks`
+/// (every FIFO takes every class when it is empty): FIFO `f` accepts
+/// class `c` iff bit `f` of entry `c` is set. The masks are fixed for the
+/// whole run and the same on every node, so the engine builds this once.
+pub(crate) fn class_fifos(cfg: &SimConfig) -> [u32; 8] {
+    if cfg.inj_class_masks.is_empty() {
+        return [((1u64 << cfg.inj_fifo_count) - 1) as u32; 8];
+    }
+    assert_eq!(
+        cfg.inj_class_masks.len(),
+        cfg.inj_fifo_count as usize,
+        "inj_class_masks length must equal inj_fifo_count"
+    );
+    let mut fifos = [0u32; 8];
+    for (f, &classes) in cfg.inj_class_masks.iter().enumerate() {
+        for (c, set) in fifos.iter_mut().enumerate() {
+            if classes & (1 << c) != 0 {
+                *set |= 1 << f;
+            }
+        }
+    }
+    fifos
+}
+
 /// All simulator state for one node.
 pub struct NodeState {
     /// Node coordinate.
@@ -32,9 +56,6 @@ pub struct NodeState {
     /// mirroring [`vc_mask`](Self::vc_mask) so arbitration never probes
     /// empty FIFOs.
     pub inj_mask: u32,
-    /// Per-injection-FIFO class masks: FIFO `f` accepts class `c` iff
-    /// `inj_class[f] & (1 << c) != 0`.
-    pub inj_class: Vec<u8>,
     /// Reception FIFO.
     pub reception: ChunkFifo,
     /// Reactive sends queued by the program (api.send from hooks), not yet
@@ -55,8 +76,6 @@ pub struct NodeState {
     /// Round-robin arbitration pointers, one per output direction (only the
     /// first `2n` entries are used).
     pub rr: [u8; MAX_PORTS],
-    /// Round-robin pointer over injection FIFOs for placement.
-    pub inj_rr: u8,
     /// VC FIFO indices whose head is deliverable but found the reception
     /// FIFO full; retried after the CPU drains a packet.
     pub blocked_deliveries: Vec<u8>,
@@ -65,6 +84,12 @@ pub struct NodeState {
     pub flow: FlowLedger,
     /// Cached program completion flag.
     pub program_done: bool,
+    /// The last injection scan found no queued send that an injection
+    /// FIFO of its class could take. Only an injection-FIFO pop or a new
+    /// queued send (`pending` or `pulled` growing) can change that
+    /// outcome, and both clear the flag, so while it is set the CPU phase
+    /// skips the scan and the event engine sets no injection wake.
+    pub inject_blocked: bool,
 }
 
 impl NodeState {
@@ -77,33 +102,22 @@ impl NodeState {
         let inj = (0..cfg.inj_fifo_count)
             .map(|_| ChunkFifo::new(cfg.inj_fifo_chunks))
             .collect();
-        let inj_class = if cfg.inj_class_masks.is_empty() {
-            vec![u8::MAX; cfg.inj_fifo_count as usize]
-        } else {
-            assert_eq!(
-                cfg.inj_class_masks.len(),
-                cfg.inj_fifo_count as usize,
-                "inj_class_masks length must equal inj_fifo_count"
-            );
-            cfg.inj_class_masks.clone()
-        };
         NodeState {
             coord,
             vcs,
             vc_mask: 0,
             inj,
             inj_mask: 0,
-            inj_class,
             reception: ChunkFifo::new(cfg.reception_fifo_chunks),
             pending: VecDeque::new(),
             pulled: VecDeque::new(),
             cpu_free: 0.0,
             cpu_busy: 0.0,
             rr: [0; MAX_PORTS],
-            inj_rr: 0,
             blocked_deliveries: Vec::new(),
             flow: FlowLedger::new(cfg.flow),
             program_done: false,
+            inject_blocked: false,
         }
     }
 

@@ -160,7 +160,8 @@ impl SendSpec {
         self
     }
 
-    /// Builder: set the injection class.
+    /// Builder: set the injection class (0..8: an injection FIFO's class
+    /// mask is one byte).
     pub fn with_class(mut self, class: u8) -> SendSpec {
         self.class = class;
         self

@@ -14,7 +14,9 @@
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
 //!   credit sleeper, link busy, watchdog/cycle-limit clamps) and
 //!   fresh-activity suppressions;
-//! * active-set occupancy.
+//! * active-set occupancy;
+//! * exact operation counts ([`OpCounts`]): CPU visits, injection scans,
+//!   hop plans built, arbitration visits, head probes and wins.
 //!
 //! Collection is purely observational: the profiler reads the host clock
 //! and its own counters, never simulation state, so `NetStats`, traces
@@ -164,6 +166,48 @@ impl EventPerf {
     }
 }
 
+/// Deterministic operation counts of the cycle phases. Unlike the
+/// wall-clock fields they do not depend on the host: a repeated run with
+/// the same configuration and engine mode counts exactly the same, so a
+/// changed count is a real change in the work done, never host noise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct OpCounts {
+    /// Phase-3 node visits that reached the CPU loop (CPU free and some
+    /// work queued or a program still running).
+    pub cpu_visits: u64,
+    /// Injection scans over a node's queued sends.
+    pub inject_scans: u64,
+    /// Injection scans that found no send an injection FIFO could take.
+    pub failed_inject_scans: u64,
+    /// Routes computed (`HopPlan::new`): one per injected packet plus one
+    /// per fault detour.
+    pub hop_plans_built: u64,
+    /// Non-minimal fault detours taken.
+    pub detours: u64,
+    /// Phase-4 node visits (nodes with at least one queued head).
+    pub arb_node_visits: u64,
+    /// FIFO heads examined while picking link winners.
+    pub arb_head_probes: u64,
+    /// Arbitration wins (packets launched onto a link).
+    pub arb_wins: u64,
+}
+
+impl OpCounts {
+    /// `(label, count)` pairs in report order.
+    pub fn named(&self) -> [(&'static str, u64); 8] {
+        [
+            ("cpu_visits", self.cpu_visits),
+            ("inject_scans", self.inject_scans),
+            ("failed_inject_scans", self.failed_inject_scans),
+            ("hop_plans_built", self.hop_plans_built),
+            ("detours", self.detours),
+            ("arb_node_visits", self.arb_node_visits),
+            ("arb_head_probes", self.arb_head_probes),
+            ("arb_wins", self.arb_wins),
+        ]
+    }
+}
+
 /// A completed run's host-side performance profile (see the module docs
 /// for what is collected). All times are wall-clock seconds on the host;
 /// none of this data describes *simulated* time.
@@ -182,6 +226,8 @@ pub struct PerfProfile {
     pub active_occupancy_max: u64,
     /// Wall-clock seconds per engine phase.
     pub phases: PhaseSecs,
+    /// Exact operation counts of the phases.
+    pub ops: OpCounts,
     /// Event-engine counters; `None` unless the run used
     /// [`EngineMode::EventDriven`](crate::EngineMode).
     pub event: Option<EventPerf>,
@@ -206,7 +252,7 @@ impl PerfProfile {
 
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
-    /// run totals, per-phase totals, and the event counters + skip
+    /// run totals, per-phase totals, operation counts, and the event counters + skip
     /// histogram when present.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -226,6 +272,9 @@ impl PerfProfile {
         );
         for (label, secs) in self.phases.named() {
             row(format!("phase_{label}_secs"), secs.to_string());
+        }
+        for (label, count) in self.ops.named() {
+            row(format!("op_{label}"), count.to_string());
         }
         if let Some(ev) = &self.event {
             row("skipped_cycles".into(), ev.skipped_cycles.to_string());
@@ -308,6 +357,7 @@ mod tests {
         }
         assert!(rows.iter().any(|r| r[0] == "total_secs" && r[1] == "0.5"));
         assert!(rows.iter().any(|r| r[0] == "phase_cpu_secs"));
+        assert!(rows.iter().any(|r| r[0] == "op_hop_plans_built"));
         assert!(rows.iter().any(|r| r[0] == "wake_rate_window"));
         assert!(rows.iter().any(|r| r[0] == "skip_len_2e0"));
         // No quoting ever triggers: metrics and numbers are comma-free.
@@ -325,6 +375,11 @@ mod tests {
             active_occupancy_mean: 3.5,
             active_occupancy_max: 9,
             phases: phases(0.5),
+            ops: OpCounts {
+                inject_scans: 7,
+                arb_wins: 3,
+                ..OpCounts::default()
+            },
             event: Some(ev),
         };
         let json = serde_json::to_string(&p).unwrap();

@@ -5,8 +5,8 @@
 //! dropped_by_fault` plus byte-equality across all three engine modes.
 
 use bgl_sim::{
-    Engine, EngineMode, FaultPlan, LinkFault, NetStats, NodeProgram, ScriptedProgram, SendSpec,
-    SimConfig,
+    Engine, EngineMode, FaultPlan, LinkFault, NetStats, NodeProgram, PerfConfig, ScriptedProgram,
+    SendSpec, SimConfig,
 };
 use bgl_torus::{Dim, Direction, Partition, Sign};
 
@@ -116,6 +116,18 @@ fn fault_recovery_soak_oracle_green_and_accounting_telescopes() {
     assert_eq!(full, event);
     // And the oracle never perturbs a faulty run.
     assert_eq!(full, faulty);
+
+    // Routes are built once per injected packet plus once per detour,
+    // and the profiler that counts them never perturbs the run either.
+    let mut cfg = SimConfig::new(part);
+    cfg.engine = EngineMode::ActiveSet;
+    cfg.fault = plan;
+    cfg.perf = Some(PerfConfig::default());
+    let mut engine = Engine::new(cfg, uniform(&part, 4, 8));
+    assert_eq!(engine.run().expect("soak run completes"), full);
+    let ops = engine.take_perf().expect("profiling was on").ops;
+    assert!(ops.detours > 0, "the soak must take fault detours");
+    assert_eq!(ops.hop_plans_built, full.packets_injected + ops.detours);
 }
 
 #[test]

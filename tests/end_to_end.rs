@@ -224,3 +224,31 @@ fn builder_defaults_dispatch_auto() {
     let r = AaRun::builder(part, AaWorkload::full(432)).run().unwrap();
     assert_eq!(r.strategy.name(), "AR");
 }
+
+/// The profiler's operation counts are exact: a repeated run counts the
+/// same, and the injection path routes each packet once (a healthy run
+/// takes no fault detours, the only other place a route is built).
+#[test]
+fn op_counts_are_exact_and_route_each_packet_once() {
+    let part: Partition = "4x4x4".parse().unwrap();
+    let profiled = || {
+        let mut cfg = SimConfig::new(part);
+        cfg.perf = Some(bgl_alltoall::sim::PerfConfig::default());
+        run_aa(
+            part,
+            &AaWorkload::full(912),
+            &StrategyKind::ar(),
+            &MachineParams::bgl(),
+            cfg,
+        )
+        .expect("simulation completes")
+    };
+    let (a, b) = (profiled(), profiled());
+    let ops = a.perf.as_ref().expect("profiling was on").ops;
+    assert_eq!(ops, b.perf.as_ref().expect("profiling was on").ops);
+    assert_eq!(ops.detours, 0);
+    assert_eq!(ops.hop_plans_built, a.stats.packets_injected + ops.detours);
+    assert_eq!(ops.arb_wins, a.stats.hops_taken.iter().sum::<u64>());
+    assert!(ops.failed_inject_scans <= ops.inject_scans);
+    assert!(ops.inject_scans >= a.stats.packets_injected);
+}
