@@ -1,9 +1,8 @@
 //! Engine scaling: per-cycle cost must track *active* nodes, not
-//! partition size. Each workload runs under all three engine modes
-//! (`SimConfig::engine`): the reference full-scan core, the default
-//! active-set core, and the event-driven skip-ahead core — so the
-//! criterion report shows the win in the sparse regime and the (absence
-//! of) overhead in the dense one. `engine-bench` produces the same
+//! partition size. Each workload runs under both engine modes
+//! (`SimConfig::engine`): the reference full-scan core and the
+//! event-driven production core — so the criterion report shows the win
+//! in the sparse regime and the (absence of) overhead in the dense one. `engine-bench` produces the same
 //! comparison as a one-shot JSON (`BENCH_engine.json`).
 
 use bgl_core::{run_aa, AaWorkload, StrategyKind};
@@ -13,21 +12,13 @@ use bgl_torus::Partition;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn modes() -> [(&'static str, EngineMode); 3] {
-    [
-        ("full_scan", EngineMode::FullScan),
-        ("active_set", EngineMode::ActiveSet),
-        ("event", EngineMode::EventDriven),
-    ]
-}
-
 /// Sparse extreme: two long streams on an otherwise idle 16x8x8
 /// partition — 4 of 1024 nodes ever hold work.
 fn bench_sparse_streams(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_scaling/sparse_streams_16x8x8");
     g.sample_size(10);
-    for (label, engine) in modes() {
-        g.bench_function(label, |b| {
+    for engine in EngineMode::ALL {
+        g.bench_function(engine.name(), |b| {
             b.iter(|| {
                 let part: Partition = "16x8x8".parse().unwrap();
                 let p = part.num_nodes();
@@ -51,14 +42,14 @@ fn bench_sparse_streams(c: &mut Criterion) {
 }
 
 /// Table 4 shape: latency-bound 1-byte all-to-all. Injection finishes
-/// almost immediately; the long drain tail is where the active sets pay
-/// off.
+/// almost immediately; the long drain tail is where the worklists and
+/// event skips pay off.
 fn bench_one_byte_aa(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_scaling/aa_1byte_8x8x8");
     g.sample_size(10);
     let params = MachineParams::bgl();
-    for (label, engine) in modes() {
-        g.bench_function(label, |b| {
+    for engine in EngineMode::ALL {
+        g.bench_function(engine.name(), |b| {
             b.iter(|| {
                 let part: Partition = "8x8x8".parse().unwrap();
                 let mut cfg = SimConfig::new(part);
@@ -80,13 +71,13 @@ fn bench_one_byte_aa(c: &mut Criterion) {
 }
 
 /// Dense regression guard: saturating full-coverage all-to-all where
-/// every node stays busy and the active sets can only add bookkeeping.
+/// every node stays busy and the worklists can only add bookkeeping.
 fn bench_dense_aa(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_scaling/aa_dense_4x4x4_m912");
     g.sample_size(10);
     let params = MachineParams::bgl();
-    for (label, engine) in modes() {
-        g.bench_function(label, |b| {
+    for engine in EngineMode::ALL {
+        g.bench_function(engine.name(), |b| {
             b.iter(|| {
                 let part: Partition = "4x4x4".parse().unwrap();
                 let mut cfg = SimConfig::new(part);

@@ -52,7 +52,7 @@ fn bench_dense_aa(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sparse sampled run: the active-set engine skips most nodes, so the
+/// Sparse sampled run: the engine's worklists skip most nodes, so the
 /// relative weight of a sampling sweep is highest.
 fn bench_sampled_aa(c: &mut Criterion) {
     let mut g = c.benchmark_group("tracer_overhead/aa_sampled_8x8x8_m912");

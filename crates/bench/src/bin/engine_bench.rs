@@ -1,25 +1,23 @@
-//! `engine-bench` — wall-clock comparison of the three engine modes
+//! `engine-bench` — wall-clock comparison of the two engine modes
 //! (`SimConfig::engine`, see [`EngineMode`]): the reference `full-scan`
-//! core, the default `active-set` core (per-cycle cost scales with
-//! *active* nodes), and the `event`-driven core (cycles with no state
-//! change are skipped outright). Workloads span the sparse regime, where
-//! both optimizations should win, and the dense regime, where their
-//! bookkeeping must not regress.
+//! core and the `event`-driven production core (per-cycle cost scales
+//! with *active* nodes, and cycles with no state change are skipped
+//! outright). Workloads span the sparse regime, where the production
+//! core should win, and the dense regime, where its bookkeeping must not
+//! regress.
 //!
 //! ```text
-//! engine-bench [--reps N] [--out FILE] [--full-scale]
-//!              [--engine full-scan|active-set|event] [--perf]
+//! engine-bench [--reps N] [--out FILE] [--full-scale] [--perf]
 //! ```
 //!
 //! Writes a JSON report (default `BENCH_engine.json` in the current
 //! directory): per workload, the minimum-of-`reps` wall-clock for each
-//! mode, the active-set-vs-full-scan and event-vs-active-set speedups,
-//! and the (identical) simulated cycle counts.
+//! mode (`full_scan_secs`, `event_secs`), the production core's speedup
+//! over the full scan, and the (identical) simulated cycle counts.
 //! `--full-scale` adds the paper's full 20,480-node machine (32x32x20,
 //! Table 2) and a dense 4,096-node machine (8x32x16) as final rows,
-//! timed once per mode regardless of `--reps`. `--engine` narrows the
-//! run to a single mode (a profiling aid: the JSON then carries one
-//! seconds column and no speedups); an unknown mode exits with status 2.
+//! timed once per mode regardless of `--reps`. Malformed or unknown
+//! arguments exit with status 2.
 //!
 //! `--perf` enables `SimConfig::perf` host profiling inside every timed
 //! run. Results stay byte-identical (the cycle assertions still hold);
@@ -57,20 +55,7 @@ struct Outcome {
     description: &'static str,
     cycles: u64,
     full_scan_secs: f64,
-    active_set_secs: f64,
     event_secs: f64,
-}
-
-impl Outcome {
-    /// Active-set win over the reference core.
-    fn active_speedup(&self) -> f64 {
-        self.full_scan_secs / self.active_set_secs
-    }
-
-    /// Event-driven win over the already-optimized active-set core.
-    fn event_speedup(&self) -> f64 {
-        self.active_set_secs / self.event_secs
-    }
 }
 
 /// Minimum wall-clock over `reps` runs plus the simulated cycle count
@@ -91,7 +76,7 @@ fn time_runs(reps: u32, mut run: impl FnMut() -> u64) -> (f64, u64) {
     (best, cycles)
 }
 
-/// Time one workload in all three engine modes and check they simulate
+/// Time one workload in both engine modes and check they simulate
 /// the exact same number of cycles (the equivalence tests pin full
 /// stats; here the cycle count guards against benchmarking two
 /// different runs).
@@ -102,28 +87,21 @@ fn compare(
     run: impl Fn(EngineMode) -> u64,
 ) -> Outcome {
     let (full_scan_secs, full_cycles) = time_runs(reps, || run(EngineMode::FullScan));
-    let (active_set_secs, active_cycles) = time_runs(reps, || run(EngineMode::ActiveSet));
     let (event_secs, event_cycles) = time_runs(reps, || run(EngineMode::EventDriven));
-    assert_eq!(
-        active_cycles, full_cycles,
-        "{name}: active-set disagrees with full-scan on cycles"
-    );
     assert_eq!(
         event_cycles, full_cycles,
         "{name}: event-driven disagrees with full-scan on cycles"
     );
     eprintln!(
-        "  {name}: full-scan {full_scan_secs:.3}s  active-set {active_set_secs:.3}s  \
-         event {event_secs:.3}s  (active {:.2}x, event {:.2}x, {full_cycles} cycles)",
-        full_scan_secs / active_set_secs,
-        active_set_secs / event_secs,
+        "  {name}: full-scan {full_scan_secs:.3}s  event {event_secs:.3}s  \
+         ({:.2}x, {full_cycles} cycles)",
+        full_scan_secs / event_secs,
     );
     Outcome {
         name,
         description,
         cycles: full_cycles,
         full_scan_secs,
-        active_set_secs,
         event_secs,
     }
 }
@@ -224,7 +202,6 @@ fn main() {
     let mut reps = 3u32;
     let mut out = "BENCH_engine.json".to_string();
     let mut full_scale = false;
-    let mut only: Option<EngineMode> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -241,10 +218,6 @@ fn main() {
             },
             "--full-scale" => full_scale = true,
             "--perf" => PERF.store(true, Ordering::Relaxed),
-            "--engine" => {
-                let v = it.next().unwrap_or_default();
-                only = Some(v.parse().unwrap_or_else(|e: String| fail(&e)));
-            }
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
@@ -317,7 +290,7 @@ fn main() {
             }),
         ));
         // A dense 4,096-node run where every node stays active every
-        // cycle, so the active sets and event skips buy nothing: the
+        // cycle, so the worklists and event skips buy nothing: the
         // per-node-cycle cost row. 32 m=912 destinations per node keeps
         // one rep in budget.
         workloads.push((
@@ -331,70 +304,32 @@ fn main() {
         ));
     }
 
-    let body = match only {
-        Some(mode) => {
-            // Single-mode profiling run: one seconds column, no speedups.
-            let mut body = String::from("{\n");
-            body.push_str(&format!("  \"benchmark\": \"engine {mode} mode\",\n"));
-            body.push_str("  \"tool\": \"engine-bench\",\n");
-            body.push_str(&format!("  \"engine\": \"{mode}\",\n"));
-            body.push_str(&format!("  \"reps_per_mode\": {reps},\n"));
-            body.push_str(&format!("  \"perf\": {},\n", PERF.load(Ordering::Relaxed)));
-            body.push_str(&format!("  {},\n", host_meta_json()));
-            body.push_str("  \"metric\": \"min wall-clock seconds per full simulation\",\n");
-            body.push_str("  \"workloads\": [\n");
-            let last = workloads.len();
-            for (i, (name, description, reps, run)) in workloads.iter().enumerate() {
-                let (secs, cycles) = time_runs(*reps, || run(mode));
-                eprintln!("  {name}: {mode} {secs:.3}s ({cycles} cycles)");
-                body.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"description\": \"{}\", \"cycles\": {}, \
-                     \"secs\": {:.4}}}{}\n",
-                    json_escape(name),
-                    json_escape(description),
-                    cycles,
-                    secs,
-                    if i + 1 == last { "" } else { "," },
-                ));
-            }
-            body.push_str("  ]\n}\n");
-            body
-        }
-        None => {
-            let results: Vec<Outcome> = workloads
-                .iter()
-                .map(|(name, description, reps, run)| compare(name, description, *reps, run))
-                .collect();
-            let mut body = String::from("{\n");
-            body.push_str(
-                "  \"benchmark\": \"engine modes: full-scan vs active-set vs event-driven\",\n",
-            );
-            body.push_str("  \"tool\": \"engine-bench\",\n");
-            body.push_str(&format!("  \"reps_per_mode\": {reps},\n"));
-            body.push_str(&format!("  \"perf\": {},\n", PERF.load(Ordering::Relaxed)));
-            body.push_str(&format!("  {},\n", host_meta_json()));
-            body.push_str("  \"metric\": \"min wall-clock seconds per full simulation\",\n");
-            body.push_str("  \"workloads\": [\n");
-            for (i, r) in results.iter().enumerate() {
-                body.push_str(&format!(
-                    "    {{\"name\": \"{}\", \"description\": \"{}\", \"cycles\": {}, \
-                     \"full_scan_secs\": {:.4}, \"active_set_secs\": {:.4}, \"event_secs\": {:.4}, \
-                     \"active_speedup\": {:.3}, \"event_speedup\": {:.3}}}{}\n",
-                    json_escape(r.name),
-                    json_escape(r.description),
-                    r.cycles,
-                    r.full_scan_secs,
-                    r.active_set_secs,
-                    r.event_secs,
-                    r.active_speedup(),
-                    r.event_speedup(),
-                    if i + 1 == results.len() { "" } else { "," },
-                ));
-            }
-            body.push_str("  ]\n}\n");
-            body
-        }
-    };
+    let results: Vec<Outcome> = workloads
+        .iter()
+        .map(|(name, description, reps, run)| compare(name, description, *reps, run))
+        .collect();
+    let mut body = String::from("{\n");
+    body.push_str("  \"benchmark\": \"engine modes: full-scan vs event-driven\",\n");
+    body.push_str("  \"tool\": \"engine-bench\",\n");
+    body.push_str(&format!("  \"reps_per_mode\": {reps},\n"));
+    body.push_str(&format!("  \"perf\": {},\n", PERF.load(Ordering::Relaxed)));
+    body.push_str(&format!("  {},\n", host_meta_json()));
+    body.push_str("  \"metric\": \"min wall-clock seconds per full simulation\",\n");
+    body.push_str("  \"workloads\": [\n");
+    for (i, r) in results.iter().enumerate() {
+        body.push_str(&format!(
+            "    {{\"name\": \"{}\", \"description\": \"{}\", \"cycles\": {}, \
+             \"full_scan_secs\": {:.4}, \"event_secs\": {:.4}, \"speedup\": {:.3}}}{}\n",
+            json_escape(r.name),
+            json_escape(r.description),
+            r.cycles,
+            r.full_scan_secs,
+            r.event_secs,
+            r.full_scan_secs / r.event_secs,
+            if i + 1 == results.len() { "" } else { "," },
+        ));
+    }
+    body.push_str("  ]\n}\n");
     if let Err(e) = std::fs::write(&out, &body) {
         fail(&format!("cannot write {out}: {e}"));
     }

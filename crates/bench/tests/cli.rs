@@ -32,6 +32,7 @@ fn engine_bench_rejects_malformed_input() {
     assert_clean_failure(&["--out", "--reps"], "needs a file path");
     assert_clean_failure(&["--frobnicate"], "unknown argument");
     assert_clean_failure(&["--shards", "4"], "unknown argument");
-    assert_clean_failure(&["--engine", "warp"], "unknown engine");
-    assert_clean_failure(&["--engine", ""], "unknown engine");
+    // Both modes are always timed: there is no engine choice to make.
+    assert_clean_failure(&["--engine", "event"], "unknown argument");
+    assert_clean_failure(&["--engine", "full-scan"], "unknown argument");
 }

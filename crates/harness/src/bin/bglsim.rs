@@ -4,19 +4,17 @@
 //! bglsim sweep --shape 8x8x8 --strategies ar,dr,tps --sizes 64,240,912 [--coverage 0.25] [--jobs N] [--csv|--json]
 //!              [--pacer none|rate:F|credit:W,E] [--credit W,E]
 //!              [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]
-//!              [--engine full-scan|active-set|event]
 //!              [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]
 //! bglsim fit   --shape 8x8x8
-//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--engine MODE] [--fault SPEC]
-//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE]
-//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--json|--csv] [--out FILE]
+//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--fault SPEC]
+//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json]
+//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--json|--csv] [--out FILE]
 //! ```
 //!
-//! `--engine` selects the simulator scheduling core
-//! ([`EngineMode`](bgl_sim::EngineMode)): the `full-scan` reference, the
-//! default `active-set`, or the `event`-driven skip-ahead engine. Every
-//! mode produces byte-identical results; the flag only changes
-//! wall-clock. An unknown mode exits with status 2.
+//! Every subcommand simulates on the production engine core (worklists
+//! plus event-driven time skipping); the full-scan reference it is
+//! checked against is reachable only through
+//! [`SimConfig::engine`](bgl_sim::SimConfig::engine).
 //!
 //! `--coverage F` (on `sweep` and `profile`) sends each node's message
 //! to a uniform fraction `F` of the other nodes; it must lie in `(0, 1]`.
@@ -78,7 +76,7 @@ use bgl_core::*;
 use bgl_harness::conformance::{run_validation, Tier};
 use bgl_harness::runner::{RunPoint, Runner, Scale};
 use bgl_model::MachineParams;
-use bgl_sim::{EngineMode, FaultPlan, LinkFault, NodeFault, SimConfig};
+use bgl_sim::{FaultPlan, LinkFault, NodeFault, SimConfig};
 use bgl_torus::{Coord, Dim, Direction, Partition, Sign};
 use std::collections::HashMap;
 
@@ -135,13 +133,6 @@ fn parse_flags(
 fn parse_shape(s: &str) -> Partition {
     s.parse()
         .unwrap_or_else(|e| fail(&format!("invalid shape {s:?}: {e}")))
-}
-
-/// Resolve `--engine full-scan|active-set|event` (default: active-set).
-fn parse_engine(flags: &HashMap<String, String>) -> EngineMode {
-    flags.get("engine").map_or_else(EngineMode::default, |s| {
-        s.parse().unwrap_or_else(|e: String| fail(&e))
-    })
 }
 
 /// Resolve `--coverage F` (default 1): the fraction of destinations
@@ -421,7 +412,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     let tracing = trace_out.is_some() || report || flags.contains_key("trace-interval");
     let fault = parse_fault(flags, &part);
     let mut runner = Runner::new(Scale::Paper)
-        .with_engine(parse_engine(flags))
         .with_perf(flags.contains_key("perf"))
         .with_progress(flags.contains_key("progress"));
     if let Some(n) = flags.get("jobs") {
@@ -610,7 +600,6 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
         )),
     };
     let mut cfg = SimConfig::new(part);
-    cfg.engine = parse_engine(flags);
     cfg.fault = parse_fault(flags, &part);
     match run_pattern(part, &pattern, m, &params, cfg, 7) {
         Ok(rep) => {
@@ -629,7 +618,6 @@ fn cmd_validate(flags: &HashMap<String, String>) {
         Tier::parse(s).unwrap_or_else(|| fail(&format!("--tier must be quick or full, got {s:?}")))
     });
     let mut runner = Runner::new(tier.scale())
-        .with_engine(parse_engine(flags))
         .with_perf(flags.contains_key("perf"))
         .with_progress(flags.contains_key("progress"));
     if let Some(n) = flags.get("jobs") {
@@ -672,7 +660,6 @@ fn cmd_profile(flags: &HashMap<String, String>) {
         fail("--json and --csv conflict; pass at most one");
     }
     let runner = Runner::new(Scale::Paper)
-        .with_engine(parse_engine(flags))
         .with_perf(true)
         .with_progress(flags.contains_key("progress"));
     let point = RunPoint::new(part, strategy, m, coverage);
@@ -714,25 +701,20 @@ fn main() {
                 "credit",
                 "trace-interval",
                 "trace-out",
-                "engine",
                 "fault",
             ],
             &["csv", "json", "report", "perf", "progress"],
         )),
         "fit" => cmd_fit(&parse_flags(rest, &["shape"], &[])),
-        "pattern" => cmd_pattern(&parse_flags(
-            rest,
-            &["shape", "pattern", "m", "engine", "fault"],
-            &[],
-        )),
+        "pattern" => cmd_pattern(&parse_flags(rest, &["shape", "pattern", "m", "fault"], &[])),
         "validate" => cmd_validate(&parse_flags(
             rest,
-            &["tier", "jobs", "out", "engine"],
+            &["tier", "jobs", "out"],
             &["bless", "perf", "progress"],
         )),
         "profile" => cmd_profile(&parse_flags(
             rest,
-            &["shape", "strategy", "m", "coverage", "engine", "out"],
+            &["shape", "strategy", "m", "coverage", "out"],
             &["json", "csv", "progress"],
         )),
         _ => {
@@ -742,12 +724,12 @@ fn main() {
             eprintln!(
                 "          [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]"
             );
-            eprintln!("          [--engine full-scan|active-set|event] [--perf] [--progress]");
+            eprintln!("          [--perf] [--progress]");
             eprintln!("          [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]");
             eprintln!("  fit     --shape 8x8x8");
-            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--engine MODE] [--fault SPEC]");
-            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE] [--perf] [--progress]");
-            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--json|--csv] [--out FILE]");
+            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--fault SPEC]");
+            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--perf] [--progress]");
+            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--json|--csv] [--out FILE]");
             std::process::exit(2);
         }
     }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! calib <shape> <AR|DR|TPS|VM|THR|MPI>[,<...>] <m_bytes> <coverage> [--jobs N]
-//!       [--json] [--engine full-scan|active-set|event] [--perf] [--progress]
+//!       [--json] [--perf] [--progress]
 //! ```
 //!
 //! Several strategies (comma-separated) run concurrently across
@@ -19,7 +19,6 @@
 
 use bgl_core::*;
 use bgl_harness::runner::{RunPoint, Runner, Scale};
-use bgl_sim::EngineMode;
 use bgl_torus::Partition;
 
 fn fail(msg: &str) -> ! {
@@ -32,7 +31,6 @@ fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut json = false;
     let mut jobs: Option<usize> = None;
-    let mut engine = EngineMode::default();
     let mut perf = false;
     let mut progress = false;
     let mut it = args.into_iter();
@@ -41,10 +39,6 @@ fn main() {
             "--json" => json = true,
             "--perf" => perf = true,
             "--progress" => progress = true,
-            "--engine" => {
-                let v = it.next().unwrap_or_default();
-                engine = v.parse().unwrap_or_else(|e: String| fail(&e));
-            }
             "--jobs" => {
                 let v = it.next().unwrap_or_default();
                 match v.parse::<usize>() {
@@ -95,7 +89,6 @@ fn main() {
         }
     }
     let mut runner = Runner::new(Scale::Paper)
-        .with_engine(engine)
         .with_perf(perf)
         .with_progress(progress);
     if let Some(n) = jobs {

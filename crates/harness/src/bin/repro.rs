@@ -3,9 +3,9 @@
 //! ```text
 //! repro list
 //! repro <id>... [--scale quick|paper] [--jobs N] [--json] [--out DIR]
-//!               [--engine full-scan|active-set|event] [--perf] [--progress]
+//!               [--perf] [--progress]
 //! repro all     [--scale quick|paper] [--jobs N] [--json] [--out DIR]
-//!               [--engine full-scan|active-set|event] [--perf] [--progress]
+//!               [--perf] [--progress]
 //! ```
 //!
 //! All experiments' simulation points are executed as one deduplicated
@@ -13,14 +13,11 @@
 //! are identical for any thread count. `--json` replaces the text
 //! tables on stdout with a machine-readable JSON array. With `--out`,
 //! each report is written as `<id>.txt` and `<id>.csv` plus a combined
-//! `results.json`. `--engine` picks the simulator scheduling core
-//! ([`EngineMode`](bgl_sim::EngineMode)); every mode produces identical
-//! results, so the flag only changes wall-clock. `--perf` collects host-side profiles (results stay
+//! `results.json`. `--perf` collects host-side profiles (results stay
 //! byte-identical) and prints a runner timing summary to stderr;
 //! `--progress` adds a rate-limited stderr heartbeat to each run.
 
 use bgl_harness::{experiments, run_suite, Runner, Scale};
-use bgl_sim::EngineMode;
 use std::path::PathBuf;
 
 fn fail(msg: &str) -> ! {
@@ -33,7 +30,7 @@ fn main() {
     if args.is_empty() || args[0] == "--help" || args[0] == "help" {
         eprintln!(
             "usage: repro <id>...|all|list [--scale quick|paper] [--jobs N] [--json] \
-             [--out DIR] [--engine full-scan|active-set|event] [--perf] [--progress]"
+             [--out DIR] [--perf] [--progress]"
         );
         eprintln!("ids: {}", experiments::ALL_IDS.join(", "));
         std::process::exit(2);
@@ -43,16 +40,11 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut json = false;
     let mut out: Option<PathBuf> = None;
-    let mut engine = EngineMode::default();
     let mut perf = false;
     let mut progress = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--engine" => {
-                let v = it.next().unwrap_or_default();
-                engine = v.parse().unwrap_or_else(|e: String| fail(&e));
-            }
             "--scale" => {
                 let v = it.next().unwrap_or_default();
                 scale = match v.as_str() {
@@ -88,10 +80,7 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
-    let mut runner = Runner::new(scale)
-        .with_engine(engine)
-        .with_perf(perf)
-        .with_progress(progress);
+    let mut runner = Runner::new(scale).with_perf(perf).with_progress(progress);
     if let Some(n) = jobs {
         runner = runner.with_jobs(n);
     }

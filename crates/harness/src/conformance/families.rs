@@ -24,8 +24,6 @@ use bgl_torus::{Dim, Direction, Partition, Sign};
 pub const INVARIANTS: &str = "invariants";
 /// Variant label for the reference-engine twin of a grid point.
 pub const INVARIANTS_FULL_SCAN: &str = "invariants-fullscan";
-/// Variant label for the event-driven-engine twin of a grid point.
-pub const INVARIANTS_EVENT: &str = "invariants-event";
 
 fn ar() -> StrategyKind {
     StrategyKind::ar()
@@ -71,6 +69,15 @@ pub fn checked_full_cov(shape: &str, strategy: &StrategyKind, m: u64) -> RunPoin
     RunPoint::new(part, strategy.clone(), m, 1.0).variant(INVARIANTS, |c| c.check_invariants = true)
 }
 
+/// Pin `point` on the reference full-scan engine, oracle on: the twin
+/// the production-core run of the same point must match.
+fn full_scan_twin(point: RunPoint) -> RunPoint {
+    point.variant(INVARIANTS_FULL_SCAN, |c| {
+        c.check_invariants = true;
+        c.engine = EngineMode::FullScan;
+    })
+}
+
 /// The same point under the reference full-scan engine (oracle still on).
 pub fn checked_full_scan(
     runner: &Runner,
@@ -78,22 +85,26 @@ pub fn checked_full_scan(
     strategy: &StrategyKind,
     m: u64,
 ) -> RunPoint {
-    runner
-        .point(shape, strategy, m)
-        .variant(INVARIANTS_FULL_SCAN, |c| {
-            c.check_invariants = true;
-            c.engine = EngineMode::FullScan;
-        })
+    full_scan_twin(runner.point(shape, strategy, m))
 }
 
-/// The same point under the event-driven engine (oracle still on).
-pub fn checked_event(runner: &Runner, shape: &str, strategy: &StrategyKind, m: u64) -> RunPoint {
-    runner
-        .point(shape, strategy, m)
-        .variant(INVARIANTS_EVENT, |c| {
-            c.check_invariants = true;
-            c.engine = EngineMode::EventDriven;
-        })
+/// Compare a run with its reference twin: a pass iff both completed
+/// with byte-identical `NetStats`, plus the measured-column text.
+fn same_stats(
+    got: &Result<bgl_core::AaReport, SimError>,
+    reference: &Result<bgl_core::AaReport, SimError>,
+) -> (bool, String) {
+    match (got, reference) {
+        (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
+        (Ok(a), Ok(r)) => (
+            false,
+            format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
+        ),
+        (a, r) => (
+            false,
+            format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
+        ),
+    }
 }
 
 /// The F8 fault grid: one small shape at full coverage, identical at
@@ -162,30 +173,10 @@ fn f8_midrun_plan() -> FaultPlan {
     }
 }
 
-/// Engine-mode twins of the dead-link AR point (oracle on in
-/// every one). The baseline runs the default active-set engine.
-fn f8_twins() -> Vec<(&'static str, RunPoint)> {
-    let part: Partition = F8_SHAPE.parse().expect("valid shape");
-    vec![
-        (
-            "full-scan",
-            RunPoint::new(part, ar(), F8_M, 1.0)
-                .variant(INVARIANTS_FULL_SCAN, |c| {
-                    c.check_invariants = true;
-                    c.engine = EngineMode::FullScan;
-                })
-                .with_fault(f8_dead_link()),
-        ),
-        (
-            "event",
-            RunPoint::new(part, ar(), F8_M, 1.0)
-                .variant(INVARIANTS_EVENT, |c| {
-                    c.check_invariants = true;
-                    c.engine = EngineMode::EventDriven;
-                })
-                .with_fault(f8_dead_link()),
-        ),
-    ]
+/// The full-scan twin of the dead-link AR point (oracle on); the
+/// baseline it must match runs the production core.
+fn f8_full_scan_twin() -> RunPoint {
+    full_scan_twin(checked_full_cov(F8_SHAPE, &ar(), F8_M)).with_fault(f8_dead_link())
 }
 
 /// The F9 n-dimensional grid: AR and DR on a 2-D torus and a 5-D
@@ -194,40 +185,16 @@ const F9_SHAPES: [&str; 2] = ["8x8", "4x4x4x4x2"];
 /// Message size of every F9 point.
 const F9_M: u64 = 64;
 
-/// The engine modes every F9 (shape, strategy) pair runs under, each
-/// with a distinct cache-key variant label and the invariant oracle on.
-/// The full-scan run is the reference the other two must match
-/// byte-for-byte.
-fn f9_variants() -> [(&'static str, EngineMode); 3] {
-    [
-        (INVARIANTS_FULL_SCAN, EngineMode::FullScan),
-        (INVARIANTS, EngineMode::ActiveSet),
-        (INVARIANTS_EVENT, EngineMode::EventDriven),
-    ]
-}
-
-/// One F9 point: full coverage, oracle on, pinned engine mode.
-fn f9_point(
-    shape: &str,
-    strategy: &StrategyKind,
-    label: &'static str,
-    engine: EngineMode,
-) -> RunPoint {
-    let part: Partition = shape.parse().expect("valid shape");
-    RunPoint::new(part, strategy.clone(), F9_M, 1.0).variant(label, move |c| {
-        c.check_invariants = true;
-        c.engine = engine;
-    })
-}
-
-/// Every F9 simulation point.
+/// Every F9 simulation point: each (shape, strategy) pair at full
+/// coverage with the oracle on, on the production core and on its
+/// full-scan twin, which it must match byte-for-byte.
 fn f9_points() -> Vec<RunPoint> {
     let mut pts = Vec::new();
     for shape in F9_SHAPES {
         for s in [ar(), dr()] {
-            for (label, engine) in f9_variants() {
-                pts.push(f9_point(shape, &s, label, engine));
-            }
+            let point = checked_full_cov(shape, &s, F9_M);
+            pts.push(full_scan_twin(point.clone()));
+            pts.push(point);
         }
     }
     pts
@@ -236,15 +203,14 @@ fn f9_points() -> Vec<RunPoint> {
 /// Every F8 simulation point (the fault plan rides the cache key, so
 /// none of these alias the healthy grid).
 fn fault_points() -> Vec<RunPoint> {
-    let mut pts = vec![
+    vec![
         checked_full_cov(F8_SHAPE, &ar(), F8_M),
         checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_noop_plan()),
         checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_dead_link()),
         checked_full_cov(F8_SHAPE, &dr(), F8_M).with_fault(f8_dead_link()),
         checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_midrun_plan()),
-    ];
-    pts.extend(f8_twins().into_iter().map(|(_, p)| p));
-    pts
+        f8_full_scan_twin(),
+    ]
 }
 
 /// The tier-specific fixture grid, named by what each slot is for.
@@ -383,19 +349,17 @@ pub fn points(runner: &Runner, tier: Tier) -> Vec<RunPoint> {
         pts.push(checked(runner, shape, &ar(), g.vm_small));
         pts.push(checked(runner, shape, &tps(), g.vm_small));
     }
-    // F6: active-set, full-scan, and event-driven twins of the
-    // equivalence slice.
+    // F6: production-core and full-scan twins of the equivalence slice.
     for (shape, strategy, m) in equivalence_grid(runner) {
         pts.push(checked(runner, shape, &strategy, m));
         pts.push(checked_full_scan(runner, shape, &strategy, m));
-        pts.push(checked_event(runner, shape, &strategy, m));
     }
     // F8: fault injection — healthy/noop twins, degraded-mode AR vs DR
-    // on a dead link, a mid-run fail→recover window, and engine-mode
-    // twins under the same fault plan.
+    // on a dead link, a mid-run fail→recover window, and a full-scan
+    // twin under the same fault plan.
     pts.extend(fault_points());
     // F9: the n-dimensional generalization — AR and DR on a 2-D torus
-    // and a 5-D mixed-extent shape, in every engine mode.
+    // and a 5-D mixed-extent shape, in both engine modes.
     pts.extend(f9_points());
     pts
 }
@@ -644,36 +608,15 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
     let fam = "F6 engine-equivalence";
     for (shape, strategy, m) in equivalence_grid(runner) {
         let reference = runner.report(&checked_full_scan(runner, shape, &strategy, m));
-        let twins = [
-            (
-                "active-set",
-                runner.report(&checked(runner, shape, &strategy, m)),
-            ),
-            (
-                "event",
-                runner.report(&checked_event(runner, shape, &strategy, m)),
-            ),
-        ];
-        for (label, twin) in &twins {
-            let (passed, measured) = match (twin, &reference) {
-                (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
-                (Ok(a), Ok(r)) => (
-                    false,
-                    format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-                ),
-                (a, r) => (
-                    false,
-                    format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-                ),
-            };
-            out.push(CheckResult::new(
-                fam,
-                format!("{} {} m={m} {label}", shape, strategy.name()),
-                passed,
-                measured,
-                "every engine mode == full-scan under the oracle",
-            ));
-        }
+        let got = runner.report(&checked(runner, shape, &strategy, m));
+        let (passed, measured) = same_stats(&got, &reference);
+        out.push(CheckResult::new(
+            fam,
+            format!("{} {} m={m} event", shape, strategy.name()),
+            passed,
+            measured,
+            "production core == full-scan under the oracle",
+        ));
     }
 
     // ---- F8: fault injection ------------------------------------------
@@ -683,17 +626,7 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
     let fam = "F8 fault-injection";
     let healthy = runner.report(&checked_full_cov(F8_SHAPE, &ar(), F8_M));
     let nooped = runner.report(&checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_noop_plan()));
-    let (passed, measured) = match (&healthy, &nooped) {
-        (Ok(h), Ok(n)) if h.stats == n.stats => (true, "identical NetStats".to_string()),
-        (Ok(h), Ok(n)) => (
-            false,
-            format!("diverged: {} vs {} cycles", h.cycles, n.cycles),
-        ),
-        (h, n) => (
-            false,
-            format!("run failed: {:?} / {:?}", h.is_ok(), n.is_ok()),
-        ),
-    };
+    let (passed, measured) = same_stats(&nooped, &healthy);
     out.push(CheckResult::new(
         fam,
         format!("{F8_SHAPE} AR noop fault plan is byte-invisible"),
@@ -787,27 +720,14 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
         "oracle green; delivered + dropped_by_fault telescopes to injected",
     ));
 
-    for (label, twin) in f8_twins() {
-        let got = runner.report(&twin);
-        let (passed, measured) = match (&got, &ar_dead) {
-            (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
-            (Ok(a), Ok(r)) => (
-                false,
-                format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-            ),
-            (a, r) => (
-                false,
-                format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-            ),
-        };
-        out.push(CheckResult::new(
-            fam,
-            format!("{F8_SHAPE} AR dead-link twin {label}"),
-            passed,
-            measured,
-            "every engine mode == baseline under the fault",
-        ));
-    }
+    let (passed, measured) = same_stats(&ar_dead, &runner.report(&f8_full_scan_twin()));
+    out.push(CheckResult::new(
+        fam,
+        format!("{F8_SHAPE} AR dead-link twin full-scan"),
+        passed,
+        measured,
+        "production core == full-scan under the fault",
+    ));
 
     // ---- F9: n-dimensional generalization -----------------------------
     // The topology layer generalized from a hard-coded 3-D torus to
@@ -816,7 +736,7 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
     // golden fingerprint still reproduces — and (b) the generalized
     // machinery is genuinely n-dimensional: full oracle-checked AR and DR
     // exchanges on a 2-D torus and a 5-D mixed-extent shape, identical
-    // across every engine mode.
+    // in both engine modes.
     let fam = "F9 ndim-generalization";
     {
         let part: Partition = "4x4x1".parse().expect("valid shape");
@@ -845,12 +765,8 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
         let p = part.num_nodes() as u64;
         let want_payload = p * (p - 1) * F9_M;
         for s in [ar(), dr()] {
-            let reference = runner.report(&f9_point(
-                shape,
-                &s,
-                INVARIANTS_FULL_SCAN,
-                EngineMode::FullScan,
-            ));
+            let point = checked_full_cov(shape, &s, F9_M);
+            let reference = runner.report(&full_scan_twin(point.clone()));
             let (passed, measured) = match &reference {
                 Ok(r) if r.stats.payload_bytes_delivered == want_payload => {
                     (true, format!("{want_payload} B delivered"))
@@ -871,32 +787,14 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
                 measured,
                 "complete all-to-all payload under the invariant oracle",
             ));
-            for (label, engine) in f9_variants() {
-                if matches!(engine, EngineMode::FullScan) {
-                    continue; // the reference itself
-                }
-                let twin = runner.report(&f9_point(shape, &s, label, engine));
-                let (passed, measured) = match (&twin, &reference) {
-                    (Ok(a), Ok(r)) if a.stats == r.stats => {
-                        (true, "identical NetStats".to_string())
-                    }
-                    (Ok(a), Ok(r)) => (
-                        false,
-                        format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-                    ),
-                    (a, r) => (
-                        false,
-                        format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-                    ),
-                };
-                out.push(CheckResult::new(
-                    fam,
-                    format!("{shape} {} {label}", s.name()),
-                    passed,
-                    measured,
-                    "engine mode == full-scan reference",
-                ));
-            }
+            let (passed, measured) = same_stats(&runner.report(&point), &reference);
+            out.push(CheckResult::new(
+                fam,
+                format!("{shape} {} {INVARIANTS}", s.name()),
+                passed,
+                measured,
+                "production core == full-scan reference",
+            ));
         }
     }
 

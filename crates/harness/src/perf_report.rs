@@ -47,7 +47,7 @@ pub fn render_perf_report(report: &AaReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  active set: mean {:.1}, max {} marked nodes per stepped cycle",
+        "  worklists: mean {:.1}, max {} marked nodes per stepped cycle",
         p.active_occupancy_mean, p.active_occupancy_max,
     );
     out.push('\n');
@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn report_renders_phase_section() {
-        let report = profiled_report(EngineMode::ActiveSet);
+        let report = profiled_report(EngineMode::FullScan);
         assert!(report.perf.is_some(), "profile must be recorded");
         let text = render_perf_report(&report);
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
@@ -180,7 +180,7 @@ mod tests {
         assert!(!text.contains("shard"), "{text}");
         assert!(
             !text.contains("event engine:"),
-            "no event section outside event mode: {text}"
+            "the full-scan reference has no event section: {text}"
         );
     }
 

@@ -316,10 +316,12 @@ impl Runner {
         }
     }
 
-    /// Select the [`EngineMode`] for every run this runner executes.
-    /// Results are byte-identical across modes (pinned by the engine
-    /// equivalence suite), so the cache key does not include it — the
-    /// mode only changes wall-clock.
+    /// Select the [`EngineMode`] for every run this runner executes
+    /// (default: the production core). Results are byte-identical in both
+    /// modes (pinned by the engine equivalence suite), so the cache key
+    /// does not include it — the mode only changes wall-clock. No binary
+    /// exposes it: differential checks pick the full-scan reference
+    /// through this or `SimConfig::engine`.
     pub fn with_engine(mut self, engine: EngineMode) -> Runner {
         self.engine = engine;
         self

@@ -358,41 +358,37 @@ fn repro_rejects_malformed_input() {
     assert_clean_failure(bin, &["table3", "--frobnicate"], "unknown flag");
 }
 
-/// Every simulation CLI accepts `--engine` and rejects an unknown mode
-/// with the one-line exit-2 contract.
-#[test]
-fn engine_flag_rejects_unknown_mode() {
-    let bglsim = env!("CARGO_BIN_EXE_bglsim");
-    assert_clean_failure(bglsim, &["sweep", "--engine", "warp"], "unknown engine");
-    assert_clean_failure(bglsim, &["sweep", "--engine"], "needs a value");
-    assert_clean_failure(bglsim, &["pattern", "--engine", "warp"], "unknown engine");
-    assert_clean_failure(bglsim, &["validate", "--engine", "warp"], "unknown engine");
-    let calib = env!("CARGO_BIN_EXE_calib");
-    assert_clean_failure(
-        calib,
-        &["4x4", "AR", "64", "1.0", "--engine", "warp"],
-        "unknown engine",
-    );
-    let repro = env!("CARGO_BIN_EXE_repro");
-    assert_clean_failure(repro, &["table3", "--engine", "warp"], "unknown engine");
-}
-
-/// `--shards` is not an option of any binary: the one-line exit-2
-/// contract for unknown flags applies.
-#[test]
-fn shards_flag_is_unknown() {
+/// Assert that no simulation CLI accepts `flag`: every bglsim
+/// subcommand, `calib` and `repro` reject it with the one-line exit-2
+/// contract for unknown flags.
+fn assert_flag_unknown(flag: &str, value: &str) {
     let bglsim = env!("CARGO_BIN_EXE_bglsim");
     for cmd in ["sweep", "pattern", "validate", "profile"] {
-        assert_clean_failure(bglsim, &[cmd, "--shards", "4"], "unknown flag");
+        assert_clean_failure(bglsim, &[cmd, flag, value], "unknown flag");
     }
     let calib = env!("CARGO_BIN_EXE_calib");
     assert_clean_failure(
         calib,
-        &["4x4", "AR", "64", "1.0", "--shards", "4"],
+        &["4x4", "AR", "64", "1.0", flag, value],
         "unknown flag",
     );
     let repro = env!("CARGO_BIN_EXE_repro");
-    assert_clean_failure(repro, &["table3", "--shards", "4"], "unknown flag");
+    assert_clean_failure(repro, &["table3", flag, value], "unknown flag");
+}
+
+/// The engine core is not a CLI choice: every binary simulates on the
+/// production core, and `--engine` is an unknown flag.
+#[test]
+fn engine_flag_is_unknown() {
+    for mode in ["full-scan", "active-set", "event"] {
+        assert_flag_unknown("--engine", mode);
+    }
+}
+
+/// `--shards` is not an option of any binary either.
+#[test]
+fn shards_flag_is_unknown() {
+    assert_flag_unknown("--shards", "4");
 }
 
 /// Zero coverage sends nothing: every CLI that takes a coverage rejects
@@ -445,62 +441,6 @@ fn sweep_ms_scales_by_effective_fraction() {
     let (code, text, stderr) = run(bin, &base);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(text.contains(&format!("{ms:9.4} ms")), "{text}");
-}
-
-/// The engine mode is observationally invisible: the same tiny sweep
-/// prints a byte-identical table in every mode and by default.
-#[test]
-fn engine_flag_output_is_identical() {
-    let bin = env!("CARGO_BIN_EXE_bglsim");
-    let sweep = |extra: &[&str]| {
-        let mut args = vec![
-            "sweep",
-            "--shape",
-            "4x4x4",
-            "--strategies",
-            "ar",
-            "--sizes",
-            "64",
-        ];
-        args.extend_from_slice(extra);
-        let (code, stdout, stderr) = run(bin, &args);
-        assert_eq!(code, Some(0), "{args:?} failed: {stderr}");
-        stdout
-    };
-    let reference = sweep(&[]);
-    assert!(reference.contains("of peak"), "{reference}");
-    for engine in ["full-scan", "active-set", "event"] {
-        let got = sweep(&["--engine", engine]);
-        assert_eq!(
-            got, reference,
-            "--engine {engine} must not change the table"
-        );
-    }
-}
-
-/// Each named engine mode runs a small sweep to completion and prints
-/// the same table (the modes are observationally equivalent).
-#[test]
-fn engine_flag_happy_paths() {
-    let bin = env!("CARGO_BIN_EXE_bglsim");
-    for engine in ["full-scan", "active-set", "event"] {
-        let (code, stdout, stderr) = run(
-            bin,
-            &[
-                "sweep",
-                "--shape",
-                "4x4",
-                "--strategies",
-                "ar",
-                "--sizes",
-                "64",
-                "--engine",
-                engine,
-            ],
-        );
-        assert_eq!(code, Some(0), "--engine {engine} failed: {stderr}");
-        assert!(stdout.contains("of peak"), "--engine {engine}: {stdout}");
-    }
 }
 
 /// A tiny happy-path smoke so the suite also proves the binaries still
@@ -602,40 +542,29 @@ fn bglsim_trace_out_writes_csv_and_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `profile` renders the host-side report for one point in every mode,
-/// with the event section appearing exactly in event mode.
+/// `profile` renders the host-side report for one point, with the
+/// production core's event section.
 #[test]
-fn bglsim_profile_happy_paths() {
+fn bglsim_profile_happy_path() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
-    for engine in ["full-scan", "active-set", "event"] {
-        let (code, stdout, stderr) = run(
-            bin,
-            &[
-                "profile",
-                "--shape",
-                "4x4",
-                "--strategy",
-                "ar",
-                "--m",
-                "240",
-                "--engine",
-                engine,
-            ],
-        );
-        assert_eq!(code, Some(0), "--engine {engine} failed: {stderr}");
-        assert!(
-            stdout.contains("perf profile: AR on 4x4"),
-            "--engine {engine}: {stdout}"
-        );
-        assert!(stdout.contains("phase breakdown"), "{stdout}");
-        assert!(stdout.contains("hop_plans_built"), "{stdout}");
-        assert_eq!(
-            stdout.contains("skip-length histogram"),
-            engine == "event",
-            "--engine {engine}: {stdout}"
-        );
-        assert!(stderr.contains("bglsim: perf:"), "{stderr}");
-    }
+    let (code, stdout, stderr) = run(
+        bin,
+        &[
+            "profile",
+            "--shape",
+            "4x4",
+            "--strategy",
+            "ar",
+            "--m",
+            "240",
+        ],
+    );
+    assert_eq!(code, Some(0), "profile failed: {stderr}");
+    assert!(stdout.contains("perf profile: AR on 4x4"), "{stdout}");
+    assert!(stdout.contains("phase breakdown"), "{stdout}");
+    assert!(stdout.contains("hop_plans_built"), "{stdout}");
+    assert!(stdout.contains("skip-length histogram"), "{stdout}");
+    assert!(stderr.contains("bglsim: perf:"), "{stderr}");
 }
 
 /// `profile --csv` emits RFC-4180 `metric,value` rows; `--json` a full
@@ -679,7 +608,6 @@ fn bglsim_profile_rejects_malformed_input() {
     assert_clean_failure(bin, &["profile", "--shape", "8xbogus"], "invalid shape");
     assert_clean_failure(bin, &["profile", "--m", "lots"], "numeric bytes");
     assert_clean_failure(bin, &["profile", "--coverage", "2.0"], "within (0, 1]");
-    assert_clean_failure(bin, &["profile", "--engine", "warp"], "unknown engine");
     assert_clean_failure(bin, &["profile", "--strategy", "warp"], "unknown strategy");
     assert_clean_failure(bin, &["profile", "--frobnicate"], "unknown flag");
     assert_clean_failure(bin, &["profile", "--json", "--csv"], "conflict");

@@ -59,50 +59,40 @@ impl Vc {
 
 /// Engine scheduling mode: how the simulator finds work each cycle.
 ///
-/// All three modes produce byte-identical results — `NetStats`, traces,
+/// Both modes produce byte-identical results — `NetStats`, traces,
 /// error cycles — on every workload; they differ only in wall-clock cost.
 /// The differential fuzzer (`tests/engine_equivalence.rs`) and conformance
 /// family F6 pin the equivalence.
 ///
+/// * [`EngineMode::EventDriven`] (the default, and the one production
+///   core) keeps lazily-pruned worklists of nodes with CPU or arbitration
+///   work, skipping idle *space*, and skips idle *time*: when every
+///   component is asleep — FIFOs empty or blocked, no pending credits, no
+///   open pacer window — it computes the earliest next wake-up (arrival,
+///   credit ack, rate-window boundary, trace boundary) and jumps straight
+///   to it. Latency-dominated workloads with long quiet gaps run
+///   order-of-magnitude faster; saturated workloads step every cycle.
 /// * [`EngineMode::FullScan`] visits every node in every phase of every
 ///   cycle: the reference semantics, O(nodes) per cycle regardless of
-///   activity. Exists for equivalence testing and before/after
-///   benchmarking, never for speed.
-/// * [`EngineMode::ActiveSet`] (the default) keeps lazily-pruned worklists
-///   of nodes with CPU or arbitration work, skipping idle *space* while
-///   still ticking every cycle.
-/// * [`EngineMode::EventDriven`] additionally skips idle *time*: when
-///   every component is asleep — FIFOs empty or blocked, no pending
-///   credits, no open pacer window — the simulator computes the earliest
-///   next wake-up (arrival, credit ack, rate-window boundary, trace
-///   boundary) and jumps straight to it. Latency-dominated workloads with
-///   long quiet gaps run order-of-magnitude faster; saturated workloads
-///   pay a small bookkeeping overhead.
+///   activity. Exists for equivalence testing, never for speed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// Reference engine: scan every node every cycle.
     FullScan,
-    /// Active-set worklists, cycle-stepped time.
+    /// Worklists plus event-driven time skipping.
     #[default]
-    ActiveSet,
-    /// Active-set worklists plus event-driven time skipping.
     EventDriven,
 }
 
 impl EngineMode {
-    /// All modes, in reference-to-fastest order (handy for equivalence
-    /// loops in tests and benches).
-    pub const ALL: [EngineMode; 3] = [
-        EngineMode::FullScan,
-        EngineMode::ActiveSet,
-        EngineMode::EventDriven,
-    ];
+    /// Both modes, reference first (handy for equivalence loops in tests
+    /// and benches).
+    pub const ALL: [EngineMode; 2] = [EngineMode::FullScan, EngineMode::EventDriven];
 
-    /// The CLI/config spelling: `full-scan`, `active-set` or `event`.
+    /// The config spelling: `full-scan` or `event`.
     pub fn name(self) -> &'static str {
         match self {
             EngineMode::FullScan => "full-scan",
-            EngineMode::ActiveSet => "active-set",
             EngineMode::EventDriven => "event",
         }
     }
@@ -111,23 +101,6 @@ impl EngineMode {
 impl std::fmt::Display for EngineMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Parses the CLI spelling (`full-scan|active-set|event`); the error
-/// message lists the accepted values for the binaries' exit-2 path.
-impl std::str::FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EngineMode, String> {
-        match s {
-            "full-scan" => Ok(EngineMode::FullScan),
-            "active-set" => Ok(EngineMode::ActiveSet),
-            "event" => Ok(EngineMode::EventDriven),
-            other => Err(format!(
-                "unknown engine {other:?} (full-scan|active-set|event)"
-            )),
-        }
     }
 }
 
@@ -140,11 +113,20 @@ impl Serialize for EngineMode {
 impl Deserialize for EngineMode {
     fn from_value(v: &serde::Value) -> Result<EngineMode, serde::Error> {
         match v {
-            serde::Value::Str(s) => s.parse().map_err(|e: String| serde::Error::custom(e)),
+            serde::Value::Str(s) => match s.as_str() {
+                "full-scan" => Ok(EngineMode::FullScan),
+                // `active-set` named the retired cycle-stepped production
+                // mode; its results were the event core's, so stored
+                // configs that chose it load as the production core.
+                "event" | "active-set" => Ok(EngineMode::EventDriven),
+                other => Err(serde::Error::custom(format!(
+                    "unknown engine {other:?} (full-scan|event)"
+                ))),
+            },
             // Legacy alias: configs serialized before the `EngineMode`
             // redesign carried `full_scan_engine: bool` in this slot.
             serde::Value::Bool(true) => Ok(EngineMode::FullScan),
-            serde::Value::Bool(false) => Ok(EngineMode::ActiveSet),
+            serde::Value::Bool(false) => Ok(EngineMode::EventDriven),
             other => Err(serde::Error::custom(format!(
                 "expected engine mode string, got {other:?}"
             ))),
@@ -153,7 +135,7 @@ impl Deserialize for EngineMode {
 
     /// Configs predating the field deserialize to the default mode.
     fn from_missing(_field: &str) -> Result<EngineMode, serde::Error> {
-        Ok(EngineMode::ActiveSet)
+        Ok(EngineMode::default())
     }
 }
 
@@ -281,10 +263,11 @@ pub struct SimConfig {
     /// Tracing never perturbs results: `NetStats` is byte-identical with
     /// tracing on or off.
     pub trace: Option<TraceConfig>,
-    /// Engine scheduling mode (see [`EngineMode`]). Results are
-    /// byte-identical across all three modes — they differ only in
-    /// wall-clock cost — so this is a performance knob, never a
-    /// correctness one.
+    /// Engine scheduling mode (see [`EngineMode`]): the production core
+    /// (the default) or the full-scan reference the differential tests
+    /// compare it against. Results are byte-identical in both modes, so
+    /// this is a testing knob, never a correctness one; no binary
+    /// exposes it.
     pub engine: EngineMode,
     /// Retired intra-run shard count. The engine ignores it: every cycle
     /// runs on the caller's thread, and results never depended on it.
@@ -383,8 +366,13 @@ mod tests {
         for mode in EngineMode::ALL {
             let v = mode.to_value();
             assert_eq!(EngineMode::from_value(&v).unwrap(), mode);
-            assert_eq!(mode.name().parse::<EngineMode>().unwrap(), mode);
         }
+        let parse = |s: &str| EngineMode::from_value(&serde::Value::Str(s.to_string()));
+        assert_eq!(parse("full-scan").unwrap(), EngineMode::FullScan);
+        assert_eq!(parse("event").unwrap(), EngineMode::EventDriven);
+        // The retired cycle-stepped mode loads as the production core.
+        assert_eq!(parse("active-set").unwrap(), EngineMode::EventDriven);
+        assert!(parse("warp-drive").is_err());
         // Stored configs from before the redesign spelled the knob as a
         // bool; both polarities keep deserializing.
         assert_eq!(
@@ -393,14 +381,14 @@ mod tests {
         );
         assert_eq!(
             EngineMode::from_value(&serde::Value::Bool(false)).unwrap(),
-            EngineMode::ActiveSet
+            EngineMode::EventDriven
         );
-        // Absent field → default mode.
+        // Absent field → the production core.
         assert_eq!(
             EngineMode::from_missing("engine").unwrap(),
-            EngineMode::ActiveSet
+            EngineMode::EventDriven
         );
-        assert!("warp-drive".parse::<EngineMode>().is_err());
+        assert_eq!(EngineMode::default(), EngineMode::EventDriven);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Event-driven time: skip from interesting cycle to interesting cycle.
 //!
-//! [`EngineMode::EventDriven`](crate::EngineMode) keeps the four
-//! cycle-stepped phases untouched and adds a *skip-ahead* layer on top:
-//! after each stepped cycle, [`Engine::fast_forward`] computes a
-//! conservative earliest next-event cycle from per-component wake-ups —
-//! in-flight arrivals (the rings), pending deliveries, CPU timelines,
-//! program poll hints, rate windows, and link-busy horizons — and jumps
-//! `now` straight there.
+//! The production core, [`EngineMode::EventDriven`](crate::EngineMode),
+//! steps the same four phases as the full-scan reference and adds a
+//! *skip-ahead* layer on top: after each stepped cycle,
+//! [`Engine::fast_forward`] computes a conservative earliest next-event
+//! cycle from per-component wake-ups — in-flight arrivals (the rings),
+//! pending deliveries, CPU timelines, program poll hints, rate windows,
+//! and link-busy horizons — and jumps `now` straight there.
 //!
 //! ## Why the skip is exact
 //!
-//! A cycle may be skipped only when the cycle-stepped engine, run over
-//! that same cycle, would have mutated *nothing* except two closed-form
-//! counters:
+//! A cycle may be skipped only when stepping it would have mutated
+//! *nothing* except two closed-form counters:
 //!
 //! - no arrivals (the in-flight rings are empty until the next wake-up),
 //! - no deliveries (`deliver_q` empty, and stalled
@@ -26,21 +25,21 @@
 //! - no arbitration win is possible: every candidate head lost its last
 //!   stepped arbitration on *feasibility* (downstream credit), which only
 //!   changes when a downstream FIFO pops or a win spends credit — both
-//!   stepped events that mark the affected node *fresh* — or on a busy
-//!   link, whose release cycle is known exactly (`link_busy_until`).
+//!   stepped events that set the freshness flag — or on a busy link,
+//!   whose release cycle is known exactly (`link_busy_until`).
 //!
 //! The wake-up invariant (see DESIGN.md): **no component may be woken
 //! later than its true next state change.** Waking too early merely steps
-//! a provably-inert cycle (identical to what the cycle-stepped engines
-//! do); waking too late would diverge. Every bound below is therefore
-//! conservative — `u64::MAX` is only ever reported by a component that
-//! provably cannot act until another component's stepped event re-marks
-//! it.
+//! a provably-inert cycle (identical to what the full scan does); waking
+//! too late would diverge. Every bound below is therefore conservative —
+//! `u64::MAX` is only ever reported by a component that provably cannot
+//! act until another component's stepped event sets the freshness flag
+//! or re-marks it.
 //!
-//! Trace samples land at exactly the cycles the stepped engines would
-//! produce: a skip is segmented at every tracer `next_at` boundary and a
-//! periodic sample (frozen deltas, live occupancy snapshot) is recorded
-//! there, so traced runs are byte-identical too.
+//! Trace samples land at exactly the cycles the full scan would produce:
+//! a skip is segmented at every tracer `next_at` boundary and a periodic
+//! sample (frozen deltas, live occupancy snapshot) is recorded there, so
+//! traced runs are byte-identical too.
 
 use super::phases::{sendable_dirs, PULL_THRESHOLD};
 use super::{Engine, RING};
@@ -61,47 +60,43 @@ pub(super) enum PollState {
     Rate,
     /// The program declined with `SleepUntilDelivery`: no timed wake at
     /// all. `denials` credit acquisitions failed during the declining
-    /// poll; the decline is pure, so the cycle-stepped engines would
-    /// repeat exactly that count every idle cycle — replayed in closed
+    /// poll; the decline is pure, so stepping would repeat exactly that
+    /// count every idle cycle — replayed in closed
     /// form over skipped windows.
     Asleep { denials: u64 },
 }
 
 /// Engine-wide event-mode state: per-node poll states (rewritten at each
-/// CPU visit) plus a one-cycle "freshness" bitset of nodes whose
-/// arbitration inputs changed during the current stepped cycle
-/// (downstream pop or credit spend). A fresh node must be re-arbitrated
-/// next cycle, so any freshness suppresses skipping entirely. Indexed by
-/// node rank.
+/// CPU visit), indexed by node rank, plus a one-cycle freshness flag set
+/// when some node's arbitration inputs changed during the current stepped
+/// cycle (a win, a downstream pop freeing credit, a fault transition or
+/// a dropped packet). A changed input must be re-arbitrated next cycle,
+/// so any freshness suppresses skipping entirely — which node changed
+/// never matters, so none is recorded.
 pub(super) struct EventState {
     pub(super) polls: Vec<PollState>,
-    fresh: Vec<u64>,
-    any_fresh: bool,
+    fresh: bool,
 }
 
 impl EventState {
     pub(super) fn new(n: usize) -> EventState {
         EventState {
             polls: vec![PollState::Open; n],
-            fresh: vec![0; n.div_ceil(64)],
-            any_fresh: false,
+            fresh: false,
         }
     }
 
     #[inline]
-    pub(super) fn mark_fresh(&mut self, i: usize) {
-        self.fresh[i >> 6] |= 1 << (i & 63);
-        self.any_fresh = true;
+    pub(super) fn mark_fresh(&mut self) {
+        self.fresh = true;
     }
 
-    /// Forget last cycle's freshness marks (called at the start of each
-    /// stepped cycle; the marks have served their purpose by suppressing
-    /// the skip decision at the previous cycle boundary).
+    /// Forget last cycle's freshness (called at the start of each stepped
+    /// cycle; it has served its purpose by suppressing the skip decision
+    /// at the previous cycle boundary).
+    #[inline]
     pub(super) fn clear_fresh(&mut self) {
-        if self.any_fresh {
-            self.fresh.fill(0);
-            self.any_fresh = false;
-        }
+        self.fresh = false;
     }
 }
 
@@ -112,7 +107,7 @@ impl EventState {
 /// minimum value itself exactly as the plain `min` fold computed it).
 #[derive(Clone, Copy)]
 pub(super) enum WakeCause {
-    /// Freshness marks forced an immediate re-step.
+    /// The freshness flag forced an immediate re-step.
     Fresh,
     /// A pending delivery forced an immediate re-step.
     DeliverQ,
@@ -135,7 +130,7 @@ impl Engine {
     fn next_event_cycle(&self) -> (u64, WakeCause) {
         let now = self.now;
         let ev = self.events.as_ref().expect("event mode");
-        if ev.any_fresh {
+        if ev.fresh {
             return (now, WakeCause::Fresh);
         }
         if !self.queues.deliver_q.is_empty() {
@@ -206,8 +201,8 @@ impl Engine {
         if (!n.pending.is_empty() || !n.pulled.is_empty()) && !n.inject_blocked {
             // Queued sends the last scan did not rule out: injections
             // happen as soon as the CPU frees up. A blocked node waits for
-            // an injection-FIFO pop (an arbitration win, which marks it
-            // fresh) or a new queued send (a stepped CPU visit).
+            // an injection-FIFO pop (an arbitration win, which sets the
+            // freshness flag) or a new queued send (a stepped CPU visit).
             wake = ready;
         }
         if !n.program_done && n.pulled.len() < PULL_THRESHOLD {
@@ -229,8 +224,8 @@ impl Engine {
     /// Next cycle node `g`'s arbitration could win an output.
     /// Heads on *free* links already lost their last stepped arbitration
     /// on downstream feasibility, which only a stepped event can change
-    /// (fresh marks handle that); so the only timed wake is a busy link
-    /// becoming usable. `busy_until == now` must wake now: the link was
+    /// (the freshness flag handles that); so the only timed wake is a busy
+    /// link becoming usable. `busy_until == now` must wake now: the link was
     /// busy during the last stepped cycle but is usable this cycle.
     fn arb_wake(&self, g: usize) -> u64 {
         let node = &self.nodes[g];
@@ -241,7 +236,7 @@ impl Engine {
         // directions outside their minimal quadrant, so the sendable
         // summary is no longer a superset of what arbitration may try:
         // consider every direction (waking early is always safe). Fault
-        // transitions themselves mark both endpoints fresh, so dead links
+        // transitions themselves set the freshness flag, so dead links
         // becoming live never rely on this bound.
         let ports = self.ports;
         let dirs = if self.fault_alive.is_empty() {
@@ -263,7 +258,7 @@ impl Engine {
     }
 
     /// Apply the per-cycle blocked-poll counter increments the
-    /// cycle-stepped engines would have made over the skipped window
+    /// full scan would have made over the skipped window
     /// `[self.now, stop)`, in closed form. For each cpu-active node the
     /// eligible cycles are those from `max(now, floor(cpu_free))` on
     /// (earlier ones are CPU-booked no-ops); `stop` never exceeds the
@@ -298,13 +293,13 @@ impl Engine {
     /// Jump `now` to the next event cycle, replaying blocked-poll
     /// counters over the skipped window and recording the periodic trace
     /// samples that fall inside it. Bounded so the `run` loop's watchdog
-    /// and cycle-limit checks fire at exactly the cycle the cycle-stepped
-    /// engines would report.
+    /// and cycle-limit checks fire at exactly the cycle the full scan
+    /// would report.
     pub(super) fn fast_forward(&mut self) {
         let (raw, cause) = self.next_event_cycle();
         if raw <= self.now {
-            // Profiling only: count the skips suppressed purely by a
-            // freshness mark (arbitration inputs changed last cycle).
+            // Profiling only: count the skips suppressed purely by the
+            // freshness flag (arbitration inputs changed last cycle).
             if matches!(cause, WakeCause::Fresh) && self.perf.is_some() {
                 self.perf_note_fresh_suppression();
             }
@@ -316,8 +311,8 @@ impl Engine {
             .saturating_add(self.cfg.watchdog_cycles)
             .saturating_add(1);
         // Never skip over a scheduled fault transition: the transition
-        // cycle is stepped in every engine mode, keeping fault runs
-        // byte-identical across modes.
+        // cycle is stepped, as in the full scan, keeping fault runs
+        // byte-identical to the reference.
         let e = raw
             .min(watchdog_fire)
             .min(self.cfg.max_cycles)

@@ -20,12 +20,12 @@
 //!    optional dimension-ordered bubble-VC escape; deterministic packets
 //!    use the bubble VC only, honouring the bubble deadlock-avoidance rule.
 //!
-//! How *time* advances between those phases is the
-//! [`EngineMode`](crate::EngineMode): the full scan visits every node every
-//! cycle, the active-set mode visits only marked nodes every cycle, and the
-//! event-driven mode additionally skips from stepped cycle to stepped cycle
-//! when it can prove the intervening cycles inert (see [`event`]). All
-//! three produce byte-identical [`NetStats`] and traces.
+//! Which nodes a phase visits, and how *time* advances between cycles, is
+//! the [`EngineMode`](crate::EngineMode). The production core visits only
+//! the nodes on its CPU and arbitration worklists, and skips from stepped
+//! cycle to stepped cycle when it can prove the intervening cycles inert
+//! (see [`event`]). The full-scan reference visits every node in every
+//! cycle. Both produce byte-identical [`NetStats`] and traces.
 //!
 //! The cycle closes with a **boundary drain**: credit freed by this
 //! cycle's phase-4 pops is released only now, not mid-phase, so
@@ -42,8 +42,8 @@
 //! 4 clears it, and so does any growth of the node's `pending` or
 //! `pulled` queue (a `next_send` pull, or reactive sends from `start`,
 //! `on_packet` or another hook). Nothing else changes the scan's outcome,
-//! so while the flag is set phase 3 skips the scan and the event-driven
-//! mode sets no injection wake-up for the node.
+//! so while the flag is set phase 3 skips the scan and the event layer
+//! sets no injection wake-up for the node.
 //!
 //! The run ends when every program reports complete and no packet remains
 //! anywhere; a watchdog aborts with diagnostics if traffic stops moving.
@@ -257,7 +257,7 @@ struct Win {
 }
 
 /// A lazily-cleared bitset over node indices, scanned in ascending index
-/// order (never hash order) so the active-set engine visits nodes in
+/// order (never hash order) so the production core visits nodes in
 /// exactly the sequence the full scan would.
 ///
 /// The engine maintains the invariant that every node with work is marked;
@@ -265,14 +265,14 @@ struct Win {
 /// are only ever *set* between phases (arrivals mark arbitration work,
 /// deliveries mark CPU work), so a phase can iterate a snapshot of each
 /// word without missing work.
-struct ActiveSet {
+struct Worklist {
     words: Vec<u64>,
 }
 
-impl ActiveSet {
+impl Worklist {
     /// A set over `n` nodes with every node marked (the engine prunes
     /// lazily from the conservative side).
-    fn all(n: usize) -> ActiveSet {
+    fn all(n: usize) -> Worklist {
         let mut words = vec![u64::MAX; n.div_ceil(64)];
         if let Some(last) = words.last_mut() {
             let tail = n % 64;
@@ -280,7 +280,7 @@ impl ActiveSet {
                 *last = (1u64 << tail) - 1;
             }
         }
-        ActiveSet { words }
+        Worklist { words }
     }
 
     #[inline]
@@ -300,7 +300,7 @@ impl ActiveSet {
 }
 
 /// The engine's work queues. Every index stored here (ring arrivals,
-/// `deliver_q`, active-set bits) is a global node rank.
+/// `deliver_q`, worklist bits) is a global node rank.
 struct Queues {
     /// In-flight ring: slot `t % RING` holds the packets arriving at
     /// cycle `t`, in win order.
@@ -308,10 +308,10 @@ struct Queues {
     deliver_q: Vec<(u32, u8)>,
     /// Nodes that may have CPU work (non-empty reception/pending/pulled
     /// queues, or a program that has not declared completion).
-    cpu_active: ActiveSet,
+    cpu_active: Worklist,
     /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
     /// or `inj_mask`).
-    arb_active: ActiveSet,
+    arb_active: Worklist,
     /// Credit releases from this cycle's phase-4 pops, applied at the
     /// cycle boundary: `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
@@ -322,8 +322,8 @@ impl Queues {
         Queues {
             ring: (0..RING).map(|_| Vec::new()).collect(),
             deliver_q: Vec::new(),
-            cpu_active: ActiveSet::all(n),
-            arb_active: ActiveSet::all(n),
+            cpu_active: Worklist::all(n),
+            arb_active: Worklist::all(n),
             deferred: Vec::new(),
         }
     }
@@ -379,11 +379,9 @@ pub struct Engine {
     /// is popped). Cells, so the read-only [`Router`] view can spend them.
     credits: Vec<Cell<u32>>,
     queues: Queues,
-    /// Reference mode: scan every node every cycle (see
-    /// [`EngineMode::FullScan`]).
-    full_scan: bool,
-    /// Event-driven wake bookkeeping; `None` unless `cfg.engine` is
-    /// [`EngineMode::EventDriven`].
+    /// Event-driven wake bookkeeping; `None` exactly in the full-scan
+    /// reference ([`EngineMode::FullScan`]), which visits every node and
+    /// steps every cycle.
     events: Option<Box<EventState>>,
     counts: Counters,
     stats: NetStats,
@@ -464,8 +462,7 @@ impl Engine {
             ..NetStats::default()
         };
         let credits = vec![Cell::new(cfg.router.vc_fifo_chunks); p * vc_cells];
-        let full_scan = cfg.engine == EngineMode::FullScan;
-        let events = (cfg.engine == EngineMode::EventDriven).then(|| Box::new(EventState::new(p)));
+        let events = (cfg.engine != EngineMode::FullScan).then(|| Box::new(EventState::new(p)));
         let tracer = cfg
             .trace
             .as_ref()
@@ -512,7 +509,6 @@ impl Engine {
             link_busy_until: vec![0; p * ports],
             credits,
             queues: Queues::new(p),
-            full_scan,
             events,
             counts: Counters::default(),
             stats,
@@ -606,9 +602,9 @@ impl Engine {
                 });
             }
             self.step();
-            // Event-driven mode: jump over cycles no component can act in.
-            // Stepped cycles behave identically in every mode, so this is
-            // the *only* place the modes differ.
+            // Jump over cycles no component can act in. Stepped cycles
+            // behave identically in both modes, so apart from which nodes
+            // a phase visits, this is the only place they differ.
             if self.events.is_some() && !self.is_complete() {
                 self.fast_forward();
             }
@@ -681,7 +677,7 @@ impl Engine {
     /// Apply every fault transition scheduled at or before the current
     /// cycle: flip link liveness, drop packets in flight on dying links,
     /// and wake the affected endpoints. Runs at the top of `step()`,
-    /// before any phase, so every engine mode observes transitions at
+    /// before any phase, so both engine modes observe transitions at
     /// exactly the same point and results stay byte-identical.
     fn apply_fault_transitions(&mut self) {
         while let Some(&ev) = self.fault_schedule.get(self.fault_cursor) {
@@ -706,14 +702,14 @@ impl Engine {
         }
     }
 
-    /// Mark both endpoints of a flipped link active (and event-fresh):
-    /// a recovery can unpark their heads, a failure changes what their
-    /// arbitration may do.
+    /// Mark both endpoints of a flipped link active (and the cycle
+    /// fresh): a recovery can unpark their heads, a failure changes what
+    /// their arbitration may do.
     fn wake_for_fault(&mut self, u: usize, v: usize) {
+        if let Some(ev) = &mut self.events {
+            ev.mark_fresh();
+        }
         for g in [u, v] {
-            if let Some(ev) = &mut self.events {
-                ev.mark_fresh(g);
-            }
             self.queues.arb_active.mark(g);
             self.queues.cpu_active.mark(g);
         }
@@ -761,7 +757,7 @@ impl Engine {
                 self.counts.done_programs += 1;
             }
             if let Some(ev) = &mut self.events {
-                ev.mark_fresh(dst);
+                ev.mark_fresh();
             }
             self.queues.cpu_active.mark(dst);
         }
@@ -782,7 +778,6 @@ impl Engine {
             part: &self.part,
             class_fifos: self.class_fifos,
             now: self.now,
-            full_scan: self.full_scan,
             nodes: &mut self.nodes,
             programs: &mut self.programs,
             link_busy_until: &mut self.link_busy_until,

@@ -17,7 +17,7 @@ use std::time::Instant;
 /// [`Engine::take_perf`]).
 pub(super) struct PerfState {
     pub(super) profile: PerfProfile,
-    /// Sum of per-cycle marked active-set populations over stepped cycles.
+    /// Sum of per-cycle marked worklist populations over stepped cycles.
     pub(super) occupancy_sum: u64,
 }
 

@@ -1,8 +1,9 @@
 //! The per-cycle phases (arrivals → deliveries → CPU → arbitration →
-//! boundary drain) and their helpers. Identical code serves all three
-//! [`EngineMode`](crate::EngineMode)s — the full scan and the active-set
-//! scan differ only in which nodes a phase visits, and the event-driven
-//! mode steps the same phases at the cycles it cannot prove frozen.
+//! boundary drain) and their helpers. Identical code serves both
+//! [`EngineMode`](crate::EngineMode)s: the production core and the full
+//! scan differ only in which nodes a phase visits (the worklists or every
+//! node), and the production core steps these phases only at the cycles
+//! it cannot prove frozen.
 //!
 //! Arbitration never reads another node's FIFOs directly; every
 //! downstream-feasibility probe ([`Router::feasible_vc`] and friends) is
@@ -412,14 +413,14 @@ pub(super) struct Cycle<'a> {
     pub(super) class_fifos: [u32; 8],
     /// The cycle being run.
     pub(super) now: u64,
-    pub(super) full_scan: bool,
     pub(super) nodes: &'a mut [NodeState],
     pub(super) programs: &'a mut [Box<dyn NodeProgram>],
     pub(super) link_busy_until: &'a mut [u64],
     pub(super) q: &'a mut Queues,
     pub(super) counts: &'a mut Counters,
     pub(super) stats: &'a mut NetStats,
-    /// Event-driven bookkeeping; `Some` only in event mode.
+    /// Event-driven bookkeeping; `None` only in the full-scan reference,
+    /// which visits every node instead of the worklists.
     pub(super) events: Option<&'a mut EventState>,
     /// Invariant oracle; `Some` only with `check_invariants`.
     pub(super) oracle: Option<&'a mut crate::engine::oracle::Oracle>,
@@ -554,10 +555,10 @@ impl Cycle<'_> {
             // the upstream sees it in this cycle's phase 4.
             self.router.release(i * self.router.vc_cells + fifo, chunks);
             self.q.cpu_active.mark(i);
-            if self.events.is_some() {
+            if let Some(ev) = self.events.as_deref_mut() {
                 // The freed credit means the upstream neighbour may win
                 // this link again.
-                self.event_note_vc_pop(i, fifo);
+                ev.mark_fresh();
             }
             self.counts.last_progress = self.now;
         }
@@ -567,7 +568,7 @@ impl Cycle<'_> {
 
     fn phase_cpu(&mut self, t: u64) {
         let programs = std::mem::take(&mut self.programs);
-        if self.full_scan {
+        if self.events.is_none() {
             for (i, prog) in programs.iter_mut().enumerate() {
                 self.cpu_visit(i, prog, t, false);
             }
@@ -589,7 +590,7 @@ impl Cycle<'_> {
     }
 
     /// Run one node's CPU for cycle `t` if it has work; with `prune`,
-    /// drop provably workless nodes from the active set.
+    /// drop provably workless nodes from the CPU worklist.
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
         let horizon = (t + 1) as f64;
         {
@@ -868,7 +869,7 @@ impl Cycle<'_> {
     // ---- Phase 4: arbitration ----------------------------------------------
 
     fn phase_arbitration(&mut self, t: u64) {
-        if self.full_scan {
+        if self.events.is_none() {
             for i in 0..self.nodes.len() {
                 // Quick skip: nothing to move out of this node.
                 if self.nodes[i].vc_mask == 0 && self.nodes[i].inj_mask == 0 {
@@ -1139,8 +1140,13 @@ impl Cycle<'_> {
             }
             o.on_hop(pkt.id, t);
         }
-        if self.events.is_some() {
-            self.event_note_win(i, nb, win);
+        if let Some(ev) = self.events.as_deref_mut() {
+            // The pop changed this node's head lineup mid-visit
+            // (directions the per-visit summary already passed must be
+            // retried next cycle), a transit pop freed upstream credit,
+            // and the reservation at `nb` may flip the bubble-escape
+            // eligibility (`preferred_blocked`) of `nb`'s neighbours.
+            ev.mark_fresh();
         }
         let arrive = t + chunks as u64 + self.router.cfg.router.hop_latency_cycles as u64;
         // `arrive` lies 1..RING cycles ahead, so this never lands in the
@@ -1165,43 +1171,5 @@ impl Cycle<'_> {
             _ => st.dynamic_hops += 1,
         }
         self.counts.last_progress = t;
-    }
-
-    // ---- Event-mode bookkeeping hooks -------------------------------------
-
-    /// Note an arbitration win out of node `g` toward `nb` (event
-    /// mode): the pop changed `g`'s own head lineup mid-visit (directions
-    /// the per-visit summary already passed must be retried next cycle), a
-    /// transit pop freed upstream credit, and the reservation at `nb` may flip the
-    /// bubble-escape eligibility (`preferred_blocked`) of any of `nb`'s
-    /// neighbours.
-    fn event_note_win(&mut self, g: usize, nb: usize, win: Win) {
-        let neighbors = self.router.neighbors;
-        let ev = self.events.as_deref_mut().expect("event mode");
-        ev.mark_fresh(g);
-        if let WinSource::Transit { fifo } = win.source {
-            let up = neighbors[g][fifo as usize / NUM_VCS];
-            if up != u32::MAX {
-                ev.mark_fresh(up as usize);
-            }
-        }
-        for &m in &neighbors[nb] {
-            if m != u32::MAX {
-                ev.mark_fresh(m as usize);
-            }
-        }
-    }
-
-    /// Note a delivery pop out of transit FIFO `fifo` at node `g`
-    /// (event mode): the freed space is new credit for the upstream
-    /// neighbour on that port.
-    fn event_note_vc_pop(&mut self, g: usize, fifo: usize) {
-        let up = self.router.neighbors[g][fifo / NUM_VCS];
-        if up != u32::MAX {
-            self.events
-                .as_deref_mut()
-                .expect("event mode")
-                .mark_fresh(up as usize);
-        }
     }
 }

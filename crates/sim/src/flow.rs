@@ -19,8 +19,8 @@
 //!   ([`NodeApi::apply_credit`](crate::NodeApi::apply_credit)).
 //!
 //! The ledger lives in [`NodeState`](crate::node::NodeState) so both
-//! engine modes (active-set and full-scan) see identical state, and the
-//! counters it feeds ([`NetStats::pacing_blocked_cycles`] and
+//! engine modes (the production core and the full scan) see identical
+//! state, and the counters it feeds ([`NetStats::pacing_blocked_cycles`] and
 //! [`NetStats::credit_blocked_events`](crate::NetStats)) stay
 //! byte-identical across modes.
 //!

@@ -14,7 +14,7 @@
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
 //!   credit sleeper, link busy, watchdog/cycle-limit clamps) and
 //!   fresh-activity suppressions;
-//! * active-set occupancy;
+//! * worklist occupancy;
 //! * exact operation counts ([`OpCounts`]): CPU visits, injection scans,
 //!   hop plans built, arbitration visits, head probes and wins.
 //!
@@ -217,19 +217,20 @@ pub struct PerfProfile {
     /// path included (completion, stall, cycle limit).
     pub total_secs: f64,
     /// Cycles actually stepped through the four phases. Equals the final
-    /// cycle count except in event mode, where skipped cycles are absent.
+    /// cycle count only in the full-scan reference; the production core
+    /// leaves skipped cycles out.
     pub stepped_cycles: u64,
-    /// Mean marked active-set population (CPU + arbitration sets) over
+    /// Mean marked worklist population (CPU + arbitration worklists) over
     /// the stepped cycles.
     pub active_occupancy_mean: f64,
-    /// Largest marked active-set population seen in any stepped cycle.
+    /// Largest marked worklist population seen in any stepped cycle.
     pub active_occupancy_max: u64,
     /// Wall-clock seconds per engine phase.
     pub phases: PhaseSecs,
     /// Exact operation counts of the phases.
     pub ops: OpCounts,
-    /// Event-engine counters; `None` unless the run used
-    /// [`EngineMode::EventDriven`](crate::EngineMode).
+    /// Event-engine counters; `None` only for the full-scan reference
+    /// ([`EngineMode::FullScan`](crate::EngineMode)).
     pub event: Option<EventPerf>,
 }
 

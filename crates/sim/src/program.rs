@@ -12,8 +12,8 @@ use bgl_torus::{Coord, Partition};
 use std::collections::VecDeque;
 
 /// How the engine may schedule [`NodeProgram::next_send`] polls after a
-/// decline — the contract a program makes with the event-driven engine
-/// mode ([`crate::EngineMode::EventDriven`]).
+/// decline — the contract a program makes with the event-driven
+/// production core ([`crate::EngineMode::EventDriven`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PollHint {
     /// Poll again every cycle (the conservative default). A declined
@@ -75,7 +75,7 @@ pub trait NodeProgram: Send {
 
     /// How a `None` from [`NodeProgram::next_send`] may be scheduled
     /// around (see [`PollHint`]). The default keeps legacy programs
-    /// correct under every engine mode at the cost of event-skipping;
+    /// correct at the cost of event-skipping;
     /// programs whose declines are delivery-driven should return
     /// [`PollHint::SleepUntilDelivery`].
     fn poll_hint(&self) -> PollHint {

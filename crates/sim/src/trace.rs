@@ -20,8 +20,8 @@
 //! Tracing is purely observational: a run produces byte-identical
 //! [`NetStats`](crate::NetStats) with tracing on or off, in every
 //! [`EngineMode`](crate::EngineMode) (pinned by the engine equivalence
-//! tests). In event-driven mode the engine forces a sample at each
-//! skipped-interval boundary so the delta series still telescopes. With
+//! tests). When the production core skips idle cycles it records a
+//! sample at each skipped-interval boundary so the delta series still telescopes. With
 //! tracing disabled the engine's hot loop pays one predictable branch
 //! per cycle and nothing else.
 

@@ -139,18 +139,14 @@ fn reserved_class_ring(recover_at: Option<u64>) -> SimConfig {
     cfg
 }
 
-/// Run `cfg` in every engine mode and require byte-identical results
+/// Run `cfg` in both engine modes and require byte-identical results
 /// (statistics and outcome); returns them.
 fn run_all_modes(
     cfg: &SimConfig,
     programs: impl Fn() -> Vec<Box<dyn NodeProgram>>,
 ) -> (NetStats, Result<NetStats, SimError>) {
     let mut first: Option<(NetStats, Result<NetStats, SimError>)> = None;
-    for mode in [
-        EngineMode::FullScan,
-        EngineMode::ActiveSet,
-        EngineMode::EventDriven,
-    ] {
+    for mode in EngineMode::ALL {
         let mut cfg = cfg.clone();
         cfg.engine = mode;
         let mut engine = Engine::new(cfg, programs());
@@ -161,7 +157,7 @@ fn run_all_modes(
             Some(want) => assert_eq!(&got, want, "{mode:?} diverged from the full scan"),
         }
     }
-    first.expect("three modes ran")
+    first.expect("both modes ran")
 }
 
 /// Node 0 queues three 8-chunk class-1 packets toward the dead link (the
@@ -199,7 +195,7 @@ fn full_class_fifo_does_not_block_another_class() {
 
 /// The same traffic with the link back at cycle 300: the class-1 FIFO
 /// sits full and the node sits flagged until the recovery lets a head
-/// leave, and every engine mode agrees on the whole run.
+/// leave, and both engine modes agree on the whole run.
 #[test]
 fn fault_recovery_with_reserved_classes_is_mode_invariant() {
     let (stats, outcome) = run_all_modes(&reserved_class_ring(Some(300)), class_programs);

@@ -1,7 +1,7 @@
-//! The active-set and event-driven engines must be pure optimizations:
-//! for any workload, every statistic they produce — cycle counts,
-//! histograms, per-link counters — is byte-identical to the reference
-//! full-scan engine (see [`EngineMode`]).
+//! The production engine core must be a pure optimization: for any
+//! workload, every statistic it produces — cycle counts, histograms,
+//! per-link counters — is byte-identical to the reference full-scan
+//! engine (see [`EngineMode`]).
 
 use bgl_sim::{
     Engine, EngineMode, NetStats, NodeProgram, PerfConfig, ScriptedProgram, SendSpec, SimConfig,
@@ -30,7 +30,7 @@ fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box
         .collect()
 }
 
-/// Run the same workload under every [`EngineMode`] and assert all three
+/// Run the same workload under both [`EngineMode`]s and assert their
 /// `NetStats` are byte-identical; returns the reference (full-scan) stats.
 fn run_all_modes(cfg: &SimConfig, programs: impl Fn() -> Vec<Box<dyn NodeProgram>>) -> NetStats {
     let mut results = EngineMode::ALL.map(|mode| {
@@ -71,7 +71,7 @@ fn scripted_workloads_match_across_modes() {
     }
 }
 
-/// Extremely sparse traffic — the regime the active sets and event skips
+/// Extremely sparse traffic — the regime the worklists and event skips
 /// exist for — with detailed per-link stats enabled so the comparison
 /// covers every counter.
 #[test]
@@ -121,10 +121,10 @@ fn oracle_run_matches_unchecked_run() {
 }
 
 /// Host profiling must be provably non-perturbing: the same workload with
-/// `SimConfig::perf` on and off, in every engine mode, produces
+/// `SimConfig::perf` on and off, in both engine modes, produces
 /// byte-identical `NetStats` — and the collected profile is internally
-/// consistent (one phase record, event counters present exactly in event
-/// mode, phase time bounded by the run's wall-clock; the wall-clock
+/// consistent (one phase record, event counters present exactly outside
+/// the full scan, phase time bounded by the run's wall-clock; the wall-clock
 /// bounds are deliberately loose, so only gross misattribution would
 /// trip them).
 #[test]
@@ -160,7 +160,7 @@ fn perf_profiling_is_invisible_and_consistent() {
             assert_eq!(
                 p.event.is_some(),
                 mode == EngineMode::EventDriven,
-                "{ctx}: event counters iff event mode"
+                "{ctx}: event counters iff production core"
             );
             assert!(p.total_secs > 0.0, "{ctx}: wall-clock measured");
             assert!(
@@ -177,12 +177,12 @@ fn perf_profiling_is_invisible_and_consistent() {
                 "{ctx}: phases sum to {busy} vs total {}",
                 p.total_secs
             );
-            // Outside event mode every stepped cycle's work happens
-            // inside a timed phase lap, so the phase sum must account for
-            // the bulk of the wall-clock (10 % is far below the ~90 % seen
-            // in practice; event mode spends its time in fast-forward,
-            // which is deliberately not a phase).
-            if mode != EngineMode::EventDriven {
+            // In the full scan every stepped cycle's work happens inside
+            // a timed phase lap, so the phase sum must account for the
+            // bulk of the wall-clock (10 % is far below the ~90 % seen in
+            // practice; the production core spends its time in
+            // fast-forward, which is deliberately not a phase).
+            if mode == EngineMode::FullScan {
                 assert!(
                     busy >= 0.1 * p.total_secs,
                     "{ctx}: phases sum to {busy} of total {}",

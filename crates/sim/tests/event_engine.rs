@@ -4,9 +4,9 @@
 //! sample boundaries that do not divide the skip intervals, and the
 //! watchdog firing at the same cycle whether or not cycles were stepped.
 //!
-//! Each test pins the event-driven engine byte-for-byte against the
-//! full-scan reference and the active-set engine on a workload that
-//! specifically exercises the skip-ahead machinery.
+//! Each test pins the event-driven production core byte-for-byte against
+//! the full-scan reference on a workload that specifically exercises the
+//! skip-ahead machinery.
 
 use std::collections::VecDeque;
 
@@ -16,7 +16,7 @@ use bgl_sim::{
 };
 use bgl_torus::Partition;
 
-/// Run the same workload under every [`EngineMode`]; assert byte-equal
+/// Run the same workload under both [`EngineMode`]s; assert byte-equal
 /// `NetStats` and return the full-scan reference.
 fn run_all_modes(cfg: &SimConfig, programs: impl Fn() -> Vec<Box<dyn NodeProgram>>) -> NetStats {
     let mut reference: Option<NetStats> = None;

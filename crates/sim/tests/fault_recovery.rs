@@ -2,7 +2,7 @@
 //! failing and recovering mid-flight, oracle on. Exercises the full
 //! degraded-mode path — arbitration refusal, detours, in-flight drops,
 //! recovery — and pins the accounting identity `injected == delivered +
-//! dropped_by_fault` plus byte-equality across all three engine modes.
+//! dropped_by_fault` plus byte-equality across both engine modes.
 
 use bgl_sim::{
     Engine, EngineMode, FaultPlan, LinkFault, NetStats, NodeProgram, PerfConfig, ScriptedProgram,
@@ -107,12 +107,10 @@ fn fault_recovery_soak_oracle_green_and_accounting_telescopes() {
         "soak windows are placed mid-flight; expected in-flight drops"
     );
 
-    // The three engine modes agree byte-for-byte under the same plan
-    // (oracle off: the event/parallel paths are the ones being pinned).
+    // The production core agrees byte-for-byte with the full scan under
+    // the same plan (oracle off: the skip path is the one being pinned).
     let full = run(part, EngineMode::FullScan, &plan, false);
-    let active = run(part, EngineMode::ActiveSet, &plan, false);
     let event = run(part, EngineMode::EventDriven, &plan, false);
-    assert_eq!(full, active);
     assert_eq!(full, event);
     // And the oracle never perturbs a faulty run.
     assert_eq!(full, faulty);
@@ -120,7 +118,6 @@ fn fault_recovery_soak_oracle_green_and_accounting_telescopes() {
     // Routes are built once per injected packet plus once per detour,
     // and the profiler that counts them never perturbs the run either.
     let mut cfg = SimConfig::new(part);
-    cfg.engine = EngineMode::ActiveSet;
     cfg.fault = plan;
     cfg.perf = Some(PerfConfig::default());
     let mut engine = Engine::new(cfg, uniform(&part, 4, 8));

@@ -4,12 +4,12 @@
 //! configurations drawn across the real strategy stack, asserting three
 //! independences the simulator promises:
 //!
-//! 1. **Engine mode**: the active-set and event-driven engines produce
+//! 1. **Engine mode**: the production core, profiled, produces
 //!    byte-identical `NetStats` — cycle counts, latency histograms,
 //!    per-dimension link counters — to the reference full-scan path
 //!    (`SimConfig::engine`, see `EngineMode`).
 //! 2. **Tracing**: enabling `SimConfig::trace` changes nothing in
-//!    `NetStats`, in any engine mode, and the recorded per-dimension
+//!    `NetStats`, in either engine mode, and the recorded per-dimension
 //!    link-busy deltas sum exactly to the run's `link_busy_chunks`.
 //! 3. **Runner parallelism**: `Runner` results are byte-identical
 //!    between `--jobs 1` and a many-thread pool.
@@ -21,7 +21,7 @@
 
 use bgl_alltoall::harness::runner::{RunPoint, Runner, Scale};
 use bgl_alltoall::prelude::*;
-use bgl_sim::{EngineMode, FaultPlan, LinkFault, TraceConfig};
+use bgl_sim::{EngineMode, FaultPlan, LinkFault, PerfConfig, TraceConfig};
 use proptest::prelude::*;
 
 /// The strategy pool: every class once — direct adaptive/deterministic,
@@ -70,9 +70,10 @@ fn workload(m: u64, coverage: f64) -> AaWorkload {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Equivalences 1 and 2: every engine mode vs the full-scan
-    /// reference, traced and untraced, on a random configuration with a
-    /// random trace interval.
+    /// Equivalences 1 and 2: the production core (with host profiling
+    /// on, which must not perturb it either) vs the full-scan reference,
+    /// traced and untraced, on a random configuration with a random
+    /// trace interval.
     #[test]
     fn engine_modes_and_tracing_agree(
         shape_i in 0usize..6,
@@ -92,19 +93,14 @@ proptest! {
         cfg.engine = EngineMode::FullScan;
         let reference =
             run_aa(part, &workload, &strategy, &params, cfg).expect("full-scan run completes");
-        for mode in EngineMode::ALL {
-            if mode == EngineMode::FullScan {
-                continue; // identical to the reference run by construction
-            }
-            let mut cfg = SimConfig::new(part);
-            cfg.engine = mode;
-            let got = run_aa(part, &workload, &strategy, &params, cfg)
-                .expect("optimized run completes");
-            prop_assert_eq!(got.cycles, reference.cycles, "{} {}", &label, mode);
-            prop_assert_eq!(&got.stats, &reference.stats, "{} {}", &label, mode);
-        }
+        let mut cfg = SimConfig::new(part);
+        cfg.perf = Some(PerfConfig::default());
+        let got = run_aa(part, &workload, &strategy, &params, cfg)
+            .expect("production run completes");
+        prop_assert_eq!(got.cycles, reference.cycles, "{}", &label);
+        prop_assert_eq!(&got.stats, &reference.stats, "{}", &label);
 
-        // Tracing on, all three engine modes: NetStats must stay
+        // Tracing on, both engine modes: NetStats must stay
         // identical and the trace's busy deltas must telescope to the
         // run totals.
         for mode in EngineMode::ALL {
@@ -163,7 +159,7 @@ proptest! {
     /// Fault dimension of equivalence 1: a random set of statically dead
     /// links must leave the run's entire `Result` — completed `NetStats`
     /// byte-for-byte, or the exact same `SimError` — invariant across
-    /// all three engine modes. Also pins the
+    /// both engine modes. Also pins the
     /// no-op guarantee: a fault scheduled far past completion runs the
     /// degraded-mode arbitration code yet stays byte-identical to the
     /// healthy run.
@@ -205,26 +201,21 @@ proptest! {
             part, &workload, &strategy, &params,
             base(EngineMode::FullScan, plan.clone()),
         );
-        for mode in EngineMode::ALL {
-            if mode == EngineMode::FullScan {
-                continue;
+        let got = run_aa(
+            part, &workload, &strategy, &params,
+            base(EngineMode::EventDriven, plan.clone()),
+        );
+        match (&reference, &got) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.cycles, b.cycles, "{}", &label);
+                prop_assert_eq!(&a.stats, &b.stats, "{}", &label);
             }
-            let got = run_aa(
-                part, &workload, &strategy, &params,
-                base(mode, plan.clone()),
-            );
-            match (&reference, &got) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.cycles, b.cycles, "{} {}", &label, mode);
-                    prop_assert_eq!(&a.stats, &b.stats, "{} {}", &label, mode);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{} {}", &label, mode),
-                (a, b) => prop_assert!(
-                    false,
-                    "{} {}: reference {:?} vs {:?}",
-                    &label, mode, a.is_ok(), b.is_ok()
-                ),
-            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b, "{}", &label),
+            (a, b) => prop_assert!(
+                false,
+                "{}: reference {:?} vs {:?}",
+                &label, a.is_ok(), b.is_ok()
+            ),
         }
 
         // No-op plan: same links, dead only at a cycle no run reaches.
